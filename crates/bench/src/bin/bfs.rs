@@ -934,7 +934,8 @@ fn locality_stats(graph: &Csr, json: bool) -> ExitCode {
 /// report without enforcing on single-core hosts).
 fn cpu_bench(args: Vec<String>) -> ExitCode {
     use ibfs_bench::cpubench::{
-        report_summary, report_to_json, run_cpu_bench, validate_report_json, CpuBenchConfig,
+        lost_gates, report_summary, report_to_json, run_cpu_bench, validate_report_json,
+        CpuBenchConfig,
     };
     let mut cfg = CpuBenchConfig::default();
     let mut out: Option<String> = None;
@@ -1088,6 +1089,13 @@ fn cpu_bench(args: Vec<String>) -> ExitCode {
         if cfg.check { " (checked against reference + baseline)" } else { "" },
     );
     let report = run_cpu_bench(&cfg);
+    let lost = lost_gates(&report.hub_gate, &report.reorder_gate);
+    if !lost.is_empty() {
+        for gate in &lost {
+            eprintln!("error: {gate}");
+        }
+        return ExitCode::FAILURE;
+    }
     let body = report_to_json(&report);
     // Round-trip the exact bytes we are about to write through the schema
     // validator, so a written file is a valid file.

@@ -331,9 +331,9 @@ fn check_depths(graph: &Csr, sources: &[VertexId], runs: &[CpuRun], what: &str) 
 /// engine's depths are asserted equal to `reference_bfs` (and bit-identical
 /// to the baseline — all engines converge to the same fixed point) at every
 /// thread count; sweeping the tiled engine additionally runs
-/// [`run_hub_gate`] and, on hosts with >= 2 cores, asserts tiled TEPS >=
-/// pooled TEPS on the hub-heavy workload (single-core hosts report the
-/// ratio without enforcing it — timesharing lanes can't express the win).
+/// [`run_hub_gate`] (and, with a reordering, [`run_reorder_gate`]) and
+/// records whether its TEPS ordering held. Whether a lost ordering fails
+/// the run is [`lost_gates`]' decision, taken by `bfs cpu-bench --check`.
 pub fn run_cpu_bench(cfg: &CpuBenchConfig) -> CpuBenchReport {
     let graph = rmat(cfg.scale, cfg.edge_factor as usize, RmatParams::graph500(), cfg.seed);
     let reverse = graph.reverse();
@@ -482,15 +482,7 @@ pub fn run_cpu_bench(cfg: &CpuBenchConfig) -> CpuBenchReport {
             pooled_teps: gate.pooled_teps,
             tiled_teps: gate.tiled_teps,
         };
-        if cores >= 2 {
-            assert!(
-                gate.tiled_teps >= gate.pooled_teps,
-                "hub-heavy tiling gate: tiled {:.0} TEPS < pooled {:.0} TEPS at {} threads",
-                gate.tiled_teps,
-                gate.pooled_teps,
-                gate.threads,
-            );
-        } else {
+        if cores < 2 {
             eprintln!("hub gate: single-core host, TEPS ordering reported but not enforced");
         }
     }
@@ -531,16 +523,7 @@ pub fn run_cpu_bench(cfg: &CpuBenchConfig) -> CpuBenchReport {
             tiled_teps: gate.tiled_teps,
             reordered_teps: gate.reordered_teps,
         };
-        if cores >= 2 {
-            assert!(
-                gate.reordered_teps >= gate.tiled_teps,
-                "reorder locality gate: tiled+{} {:.0} TEPS < tiled {:.0} TEPS at {} threads",
-                kind.name(),
-                gate.reordered_teps,
-                gate.tiled_teps,
-                gate.threads,
-            );
-        } else {
+        if cores < 2 {
             eprintln!("reorder gate: single-core host, TEPS ordering reported but not enforced");
         }
     }
@@ -562,6 +545,27 @@ pub fn run_cpu_bench(cfg: &CpuBenchConfig) -> CpuBenchReport {
         hub_gate,
         reorder_gate,
     }
+}
+
+/// The gate verdict `bfs cpu-bench --check` exits on: one message per gate
+/// that was enforced (on a host with at least 2 cores) and lost its TEPS
+/// ordering. Report-only and never-run gates pass. The gates assert their
+/// depth checks themselves, whatever this returns.
+pub fn lost_gates(hub: &HubGateStatus, reorder: &ReorderGateStatus) -> Vec<String> {
+    let mut lost = Vec::new();
+    if hub.enforced && !hub.passed {
+        lost.push(format!(
+            "hub-heavy tiling gate: tiled {:.0} TEPS < pooled {:.0} TEPS at {} threads",
+            hub.tiled_teps, hub.pooled_teps, hub.threads
+        ));
+    }
+    if reorder.enforced && !reorder.passed {
+        lost.push(format!(
+            "reorder locality gate: tiled+{} {:.0} TEPS < tiled {:.0} TEPS at {} threads",
+            reorder.reorder, reorder.reordered_teps, reorder.tiled_teps, reorder.threads
+        ));
+    }
+    lost
 }
 
 /// Result of the hub-heavy tiling gate (see [`run_hub_gate`]).
@@ -757,15 +761,11 @@ pub fn validate_report_json(text: &str) -> Result<CpuBenchReport, String> {
             return Err(format!("speedup for unknown reorder {:?}", s.reorder));
         }
     }
+    // A lost but enforced gate is a valid record; failing on it is
+    // `lost_gates`' verdict, not a schema violation.
     let hg = &report.hub_gate;
     if hg.enforced && !hg.ran {
         return Err("hub_gate claims enforced without having run".to_string());
-    }
-    if hg.enforced && !hg.passed {
-        return Err(format!(
-            "hub_gate enforced but failed: tiled {:.0} TEPS < pooled {:.0} TEPS",
-            hg.tiled_teps, hg.pooled_teps
-        ));
     }
     if hg.ran && (hg.threads == 0 || hg.pooled_teps <= 0.0 || hg.tiled_teps <= 0.0) {
         return Err(format!(
@@ -779,12 +779,6 @@ pub fn validate_report_json(text: &str) -> Result<CpuBenchReport, String> {
     }
     if rg.enforced && !rg.ran {
         return Err("reorder_gate claims enforced without having run".to_string());
-    }
-    if rg.enforced && !rg.passed {
-        return Err(format!(
-            "reorder_gate enforced but failed: tiled+{} {:.0} TEPS < tiled {:.0} TEPS",
-            rg.reorder, rg.reordered_teps, rg.tiled_teps
-        ));
     }
     if rg.ran
         && (rg.threads == 0
@@ -907,10 +901,17 @@ mod tests {
         let a = report.runs.iter().find(|r| r.engine == "async").unwrap();
         assert_eq!(a.levels, a.groups);
         // check + tiled in the sweep means the hub gate ran and recorded
-        // live rates (enforcement depends on the host's core count).
-        assert!(parsed.hub_gate.ran);
-        assert!(parsed.hub_gate.pooled_teps > 0.0 && parsed.hub_gate.tiled_teps > 0.0);
-        assert!(parsed.hub_gate.threads >= 2);
+        // live rates; its flags follow the rates and the host's cores.
+        let hg = parsed.hub_gate;
+        assert!(hg.ran);
+        assert!(hg.pooled_teps > 0.0 && hg.tiled_teps > 0.0);
+        assert!(hg.threads >= 2);
+        assert_eq!(hg.passed, hg.tiled_teps >= hg.pooled_teps);
+        assert_eq!(hg.enforced, host_cores() >= 2);
+    }
+
+    fn host_cores() -> usize {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
     }
 
     #[test]
@@ -1016,7 +1017,45 @@ mod tests {
         assert_eq!(rg.reorder, "hub");
         assert!(rg.threads >= 2);
         assert!(rg.tiled_teps > 0.0 && rg.reordered_teps > 0.0);
+        assert_eq!(rg.passed, rg.reordered_teps >= rg.tiled_teps);
+        assert_eq!(rg.enforced, host_cores() >= 2);
         validate_report_json(&report_to_json(&report)).expect("schema-valid");
+    }
+
+    #[test]
+    fn only_enforced_gates_that_lost_fail_the_check() {
+        let hub = |enforced, passed| HubGateStatus {
+            ran: true,
+            enforced,
+            passed,
+            threads: 2,
+            pooled_teps: 2.0,
+            tiled_teps: if passed { 3.0 } else { 1.0 },
+        };
+        let reorder = |enforced, passed| ReorderGateStatus {
+            ran: true,
+            enforced,
+            passed,
+            reorder: "hub".to_string(),
+            threads: 2,
+            tiled_teps: 2.0,
+            reordered_teps: if passed { 3.0 } else { 1.0 },
+        };
+        let idle = ReorderGateStatus::never_ran();
+        assert!(lost_gates(&HubGateStatus::default(), &idle).is_empty());
+        // Report-only (single-core) losses and enforced wins pass.
+        assert!(lost_gates(&hub(false, false), &reorder(false, false)).is_empty());
+        assert!(lost_gates(&hub(true, true), &reorder(true, true)).is_empty());
+        let lost = lost_gates(&hub(true, false), &idle);
+        assert_eq!(lost.len(), 1);
+        assert!(lost[0].contains("tiling gate"), "got: {lost:?}");
+        let lost = lost_gates(&hub(true, true), &reorder(true, false));
+        assert_eq!(lost.len(), 1);
+        assert!(lost[0].contains("tiled+hub"), "got: {lost:?}");
+        assert_eq!(
+            lost_gates(&hub(true, false), &reorder(true, false)).len(),
+            2
+        );
     }
 
     #[test]

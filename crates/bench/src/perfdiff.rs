@@ -25,7 +25,9 @@
 //! (it is clamped at 1.0) so a lucky-fast reference cannot manufacture
 //! failures, and the calibrating rows themselves are never flagged.
 
-use crate::cpubench::{validate_report_json, CpuBenchReport, HubGateStatus, ReorderGateStatus};
+use crate::cpubench::{
+    lost_gates, validate_report_json, CpuBenchReport, HubGateStatus, ReorderGateStatus,
+};
 use std::fmt::Write as _;
 
 /// Default allowed TEPS drop, in percent. Wide on purpose: the committed
@@ -88,9 +90,12 @@ impl PerfDiff {
         self.rows.iter().filter(|r| r.regressed).collect()
     }
 
-    /// The CI verdict: no regressed rows and no disappeared runs.
+    /// The CI verdict: no regressed rows, no disappeared runs, and no
+    /// enforced gate lost in the new report.
     pub fn passes(&self) -> bool {
-        self.regressions().is_empty() && self.missing.is_empty()
+        self.regressions().is_empty()
+            && self.missing.is_empty()
+            && lost_gates(&self.new_gate, &self.new_reorder_gate).is_empty()
     }
 }
 
@@ -198,7 +203,8 @@ fn reorder_gate_line(g: &ReorderGateStatus) -> String {
     format!(
         "{} (tiled {:.0} TEPS, tiled+{} {:.0} TEPS, {:.2}x at {} threads)",
         match (g.enforced, g.passed) {
-            (true, _) => "enforced, passed",
+            (true, true) => "enforced, passed",
+            (true, false) => "enforced, LOST",
             (false, true) => "reported only (single-core host), ordering held",
             (false, false) => "reported only (single-core host), ordering inverted",
         },
@@ -217,7 +223,8 @@ fn gate_line(g: &HubGateStatus) -> String {
     format!(
         "{} (pooled {:.0} TEPS, tiled {:.0} TEPS, {:.2}x at {} threads)",
         match (g.enforced, g.passed) {
-            (true, _) => "enforced, passed",
+            (true, true) => "enforced, passed",
+            (true, false) => "enforced, LOST",
             (false, true) => "reported only (single-core host), ordering held",
             (false, false) => "reported only (single-core host), ordering inverted",
         },
@@ -455,6 +462,26 @@ mod tests {
         let diff = diff_reports(&base, &pruned, 30.0, None);
         assert!(!diff.passes());
         assert_eq!(diff.missing, vec!["pooled+hub@1t".to_string()]);
+    }
+
+    #[test]
+    fn an_enforced_gate_lost_in_the_new_report_fails_the_check() {
+        let base = report();
+        let mut lost = base.clone();
+        lost.hub_gate = HubGateStatus {
+            ran: true,
+            enforced: true,
+            passed: false,
+            threads: 2,
+            pooled_teps: 2.0,
+            tiled_teps: 1.0,
+        };
+        let diff = diff_reports(&base, &lost, 30.0, None);
+        assert!(diff.regressions().is_empty() && diff.missing.is_empty());
+        assert!(!diff.passes());
+        assert!(render_diff(&diff, "a", "b").contains("enforced, LOST"));
+        // The candidate is judged on its own gates, not the base's.
+        assert!(diff_reports(&lost, &base, 30.0, None).passes());
     }
 
     #[test]

@@ -23,24 +23,27 @@
 //!   construction; every phase of every level of every group runs on it
 //!   (see `tests`: the process thread count is constant across a
 //!   multi-level, multi-group run).
-//! * **Resident arena** — the `cur`/`next` status arrays, touched-chunk
-//!   epochs, and per-lane queue segments are allocated once and reused
-//!   across groups; only the returned depth table is allocated per group
-//!   (it is the result, not scratch).
+//! * **Resident arena** — the `cur`/`next` status arrays, the per-lane
+//!   change bitmaps, and per-lane queue segments are allocated once and
+//!   reused across groups; only the returned depth table is allocated per
+//!   group (it is the result, not scratch).
 //! * **Wide words** — the engine is generic over [`StatusWord`] width
 //!   through the [`AtomicStatus`] lanes in [`crate::word`]; with
 //!   [`WordWidth::W256`] a 128-source set runs as one group instead of two.
 //!   Depths are written directly in `[instance][vertex]` layout, deleting
 //!   the old final transpose; see *Identification writes* below for how
 //!   those writes stay cache-friendly.
-//! * **Dirty chunks** — vertices are grouped into [`CHUNK`]-sized chunks; a
-//!   per-chunk epoch records the last level that wrote new bits into it.
-//!   The per-level `next <- cur` copy and the identification sweep visit
-//!   only touched chunks, so sparse levels cost O(frontier), not O(n).
-//!   Invariant: at the start of every level's traversal, `next[v] == cur[v]`
-//!   for all `v`; traversal adds bits to `next` only inside chunks it marks
-//!   touched, so repairing last level's touched chunks restores the
-//!   invariant after the buffer swap.
+//! * **Change bitmaps** — traversal reads `cur` and adds bits to `next`.
+//!   Each lane owns an `n/64`-word bitmap and sets bit `v` with a plain
+//!   load and store whenever its `fetch_or` or store added a bit to
+//!   `next[v]` (a shared bitmap would put two lanes' marks on one cache
+//!   line). Identification claims the [`CHUNK`]-sized chunks holding a
+//!   mark, walks only the set bits of their words, clears them, and stores
+//!   `cur[v] = next[v]` right after taking `v`'s diff. So `next == cur` at
+//!   the start of every level with no repair phase or buffer swap, and a
+//!   level costs O(changed vertices) plus a scan of `lanes × n/64` words.
+//!   Debug builds assert that every marked vertex has a non-zero diff and
+//!   that every bitmap is clear when a group starts.
 //! * **Work stealing** — top-down and bottom-up frontiers are pre-split
 //!   into degree-balanced chunks (weight = degree + 1) and claimed through
 //!   a shared atomic cursor, so a lane that lands on a power-law hub simply
@@ -75,18 +78,18 @@
 //! in one L1 set and two L2 sets: each store evicts the line the next
 //! vertex needs.
 //!
-//! So each claimed chunk is walked in `BLOCK`-vertex blocks (one cache
-//! line of `u8` depths per row). A vertex whose diff word has at most
-//! `DIRECT_WRITE_MAX` bits writes its cells directly: it touches few rows,
-//! and the scan of sparse levels does no per-block work. A vertex with
-//! more bits instead sets bit `v - base` in a per-lane `[u64; CPU_GROUP]`
-//! row mask. Before such a vertex of a later block is parked, and at the
-//! end of the chunk, each row named by the union of the parked diff words
-//! is written from its mask and the mask is cleared, so each row's line
-//! is touched once per block instead of once per vertex. The cut-off rests
-//! on the diff word's popcount, which the level loop computes anyway: on
-//! the mesh almost every word has one or two bits, and a prototype that
-//! buffered every vertex slowed the mesh's identification by about 15%.
+//! So identification walks each claimed chunk one change-bitmap word at a
+//! time, which is one `BLOCK`-vertex block (one cache line of `u8` depths
+//! per row). A vertex whose diff word has at most `DIRECT_WRITE_MAX` bits
+//! writes its cells directly: it touches few rows. A vertex with more bits
+//! instead sets bit `v - base` in a per-lane `[u64; CPU_GROUP]` row mask.
+//! At the end of each block, each row named by the union of the parked
+//! diff words is written from its mask and the mask is cleared, so each
+//! row's line is touched once per block instead of once per vertex. The
+//! cut-off rests on the diff word's popcount, which the level loop computes
+//! anyway: on the mesh almost every word has one or two bits, and a
+//! prototype that buffered every vertex slowed the mesh's identification
+//! by about 15%.
 //!
 //! A prototype with a padded row stride plus a copy into the dense result
 //! was as fast, but it raised the benchmark's peak RSS by 17% on
@@ -104,10 +107,13 @@
 //! In a traced `batch-rmat` run of the `benchmark` package (seed 42, 2
 //! lanes, 64-source groups, 20 s, on a 2-vCPU KVM host), identification
 //! fell from 14.6 to 3.5 ms per group (summed over lanes) and the median
-//! time outside every profiled phase from 1.27 to 0.56 ms. On
-//! `batch-mesh` (one lane), five traced runs side by side with the
-//! previous engine read a median of 9.54 against 9.29 ms per group for
-//! identification, and 20.9 against 21.0 ms for the whole engine.
+//! time outside every profiled phase from 1.27 to 0.56 ms. Walking only
+//! the changed vertices (see *Change bitmaps*) then cut `batch-mesh`
+//! identification (seed 42, one lane, 20 s, same host) from 20.7 to 13.0
+//! ms per group and `repair_ms` from 3.8 to 0, and pool phases per level
+//! fell from 3.10 to 2.10. `batch-rmat` identification stayed near flat
+//! (13.8 to 12.8 ms): its few fat levels change nearly every vertex of the
+//! chunks they touch.
 //!
 //! Capacity is [`CPU_GROUP`] instances, further limited by the configured
 //! word width. Oversized or malformed groups are typed
@@ -132,15 +138,17 @@ use std::time::Instant;
 /// word); the effective capacity is `min(CPU_GROUP, width.bits())`.
 pub const CPU_GROUP: usize = 256;
 
-/// log2 of the dirty-chunk granularity.
+/// log2 of the chunk granularity.
 pub const CHUNK_BITS: usize = 10;
 
-/// Vertices per dirty chunk.
+/// Vertices per chunk: the unit of work that identification, full sweeps
+/// and group cleanup claim on the pool.
 pub const CHUNK: usize = 1 << CHUNK_BITS;
 
 /// Vertices per identification write block: one bit per vertex in a `u64`
-/// row mask, and one 64-byte cache line of each instance row's depths.
-/// Divides [`CHUNK`], so blocks never straddle a claimed chunk.
+/// row mask or change-bitmap word, and one 64-byte cache line of each
+/// instance row's depths. Divides [`CHUNK`], so blocks never straddle a
+/// claimed chunk.
 const BLOCK: usize = 64;
 
 /// Most new instance bits a vertex writes straight into the depth table
@@ -397,11 +405,9 @@ pub struct CpuStats {
     pub groups: u64,
     /// BFS levels executed.
     pub levels: u64,
-    /// Chunks marked dirty by traversal (identification/copy work visits
-    /// exactly these).
+    /// Chunks holding at least one vertex that traversal changed
+    /// (identification claims exactly these).
     pub chunks_touched: u64,
-    /// Chunks copied by the `next <- cur` repair phase.
-    pub chunks_repaired: u64,
     /// Full O(n) sweeps (MS-BFS visit-map maintenance and top-down →
     /// bottom-up switches).
     pub full_sweeps: u64,
@@ -457,6 +463,14 @@ fn chunk_range(c: usize, n: usize) -> std::ops::Range<usize> {
     (c << CHUNK_BITS)..(((c + 1) << CHUNK_BITS).min(n))
 }
 
+/// Change-bitmap words covering chunk `c` (one bit per vertex), clipped
+/// to `n`.
+#[inline]
+fn chunk_words(c: usize, n: usize) -> std::ops::Range<usize> {
+    let per_chunk = CHUNK / BLOCK;
+    (c * per_chunk)..((c + 1) * per_chunk).min(n.div_ceil(BLOCK))
+}
+
 /// Width-specific resident status arrays.
 struct Arena<A> {
     cur: Vec<A>,
@@ -491,12 +505,14 @@ struct LaneScratch {
 /// Width-independent resident scratch.
 struct Scratch {
     lanes: Vec<Mutex<LaneScratch>>,
-    /// Per chunk: the epoch (global level counter) that last dirtied it.
-    touched_epoch: Vec<AtomicU64>,
-    /// This level's dirty chunks, ascending.
+    /// Per lane, one bit per vertex: the vertices that lane gave a new
+    /// status bit during this level's traversal. A lane's own traversal is
+    /// its only writer; identification reads and clears them by chunk.
+    /// The pool's phase barrier orders those phases, so `Relaxed` loads
+    /// and stores suffice.
+    changed: Vec<Vec<AtomicU64>>,
+    /// This level's chunks with a changed vertex, ascending.
     touched: Vec<u32>,
-    /// Chunks where `next != cur` (last level's dirty set), to repair.
-    stale: Vec<u32>,
     /// Chunks dirtied at any point of the current group (for cleanup).
     ever: Vec<bool>,
     ever_list: Vec<u32>,
@@ -521,9 +537,10 @@ impl Scratch {
         let num_chunks = n.div_ceil(CHUNK);
         Scratch {
             lanes: (0..threads).map(|_| Mutex::new(LaneScratch::default())).collect(),
-            touched_epoch: (0..num_chunks).map(|_| AtomicU64::new(0)).collect(),
+            changed: (0..threads)
+                .map(|_| (0..n.div_ceil(BLOCK)).map(|_| AtomicU64::new(0)).collect())
+                .collect(),
             touched: Vec::new(),
-            stale: Vec::new(),
             ever: vec![false; num_chunks],
             ever_list: Vec::new(),
             queue: Vec::new(),
@@ -620,9 +637,6 @@ pub struct CpuService<'g> {
     plan: TilePlan,
     /// Steal chunks per lane, autotuned from degree skew.
     chunks_per_lane: usize,
-    /// Monotone level counter tagging dirty chunks; never reset, so marks
-    /// from earlier groups can never alias a current level.
-    epoch: u64,
     /// When set, every phase of every level records per-lane
     /// [`PhaseRecord`](ibfs_obs::PhaseRecord)s into it.
     profiler: Option<Arc<EngineProfiler>>,
@@ -671,7 +685,6 @@ impl<'g> CpuService<'g> {
             stats: CpuStats::default(),
             plan,
             chunks_per_lane: autotune_chunks_per_lane(csr),
-            epoch: 0,
             profiler: None,
             reordered,
             tuner: opts.adaptive.then(|| DirectionTuner::new(opts.policy)),
@@ -727,7 +740,6 @@ impl<'g> CpuService<'g> {
         registry.counter("ibfs_cpu_groups_total").add(s.stats.groups);
         registry.counter("ibfs_cpu_levels_total").add(s.stats.levels);
         registry.counter("ibfs_cpu_chunks_touched_total").add(s.stats.chunks_touched);
-        registry.counter("ibfs_cpu_chunks_repaired_total").add(s.stats.chunks_repaired);
         registry.counter("ibfs_cpu_full_sweeps_total").add(s.stats.full_sweeps);
         registry.counter("ibfs_cpu_steal_chunks_total").add(s.stats.td_chunks + s.stats.bu_chunks);
         registry.counter("ibfs_cpu_pool_phases_total").add(s.pool_phases);
@@ -823,13 +835,12 @@ impl<'g> CpuService<'g> {
             crate::asyncq::run_async(csr, &opts, pool, &self.plan, stats, prof, run_sources)
         } else {
             let scratch = &mut self.scratch;
-            let epoch = &mut self.epoch;
             let cx = RunCx { plan: &self.plan, chunks_per_lane: self.chunks_per_lane, prof };
             match &self.arena {
-                ArenaAny::W32(a) => run_width(csr, rev, opts, pool, a, scratch, stats, epoch, cx, run_sources),
-                ArenaAny::W64(a) => run_width(csr, rev, opts, pool, a, scratch, stats, epoch, cx, run_sources),
-                ArenaAny::W128(a) => run_width(csr, rev, opts, pool, a, scratch, stats, epoch, cx, run_sources),
-                ArenaAny::W256(a) => run_width(csr, rev, opts, pool, a, scratch, stats, epoch, cx, run_sources),
+                ArenaAny::W32(a) => run_width(csr, rev, opts, pool, a, scratch, stats, cx, run_sources),
+                ArenaAny::W64(a) => run_width(csr, rev, opts, pool, a, scratch, stats, cx, run_sources),
+                ArenaAny::W128(a) => run_width(csr, rev, opts, pool, a, scratch, stats, cx, run_sources),
+                ArenaAny::W256(a) => run_width(csr, rev, opts, pool, a, scratch, stats, cx, run_sources),
             }
         };
         if let Some(r) = &self.reordered {
@@ -924,8 +935,22 @@ struct RunCx<'p> {
     prof: Option<&'p EngineProfiler>,
 }
 
+/// Sets bit `v` of a lane's change bitmap. The lane is the bitmap's only
+/// writer during traversal, so a plain load and store suffice.
+#[inline]
+fn mark(changed: &[AtomicU64], v: usize) {
+    let word = &changed[v >> 6];
+    let bits = word.load(Ordering::Relaxed) | 1 << (v & 63);
+    word.store(bits, Ordering::Relaxed);
+}
+
+/// Whether any of `words` of a change bitmap has a bit set.
+fn any_marked(words: &[AtomicU64]) -> bool {
+    words.iter().any(|w| w.load(Ordering::Relaxed) != 0)
+}
+
 /// The width-generic pooled level loop. See the module docs for the
-/// dirty-chunk invariant this maintains.
+/// change-bitmap invariant this maintains.
 #[allow(clippy::too_many_arguments)]
 fn run_width<A: AtomicStatus>(
     csr: &Csr,
@@ -935,7 +960,6 @@ fn run_width<A: AtomicStatus>(
     arena: &Arena<A>,
     scratch: &mut Scratch,
     stats: &mut CpuStats,
-    epoch: &mut u64,
     cx: RunCx<'_>,
     sources: &[VertexId],
 ) -> CpuRun {
@@ -954,9 +978,16 @@ fn run_width<A: AtomicStatus>(
     let mut level_seconds: Vec<f64> = Vec::new();
     // The output table, `[instance][vertex]`: the one per-group allocation.
     let mut depths = vec![DEPTH_UNVISITED; ni * n];
+    debug_assert!(
+        !scratch.changed.iter().any(|bits| any_marked(bits)),
+        "a change bitmap kept marks from an earlier group"
+    );
+    // Traversal reads `cur` and adds bits to `next`; identification copies
+    // each changed word back, so `next == cur` holds at every level start.
+    let (cur, next) = (&arena.cur[..], &arena.next[..]);
 
     for (j, &s) in sources.iter().enumerate() {
-        arena.cur[s as usize].fetch_or(A::Word::bit(j as u32));
+        cur[s as usize].fetch_or(A::Word::bit(j as u32));
         depths[j * n + s as usize] = 0;
     }
     scratch.queue.clear();
@@ -965,20 +996,17 @@ fn run_width<A: AtomicStatus>(
     scratch.queue.dedup();
     for &s in &scratch.queue {
         let v = s as usize;
-        arena.next[v].store(arena.cur[v].load());
+        next[v].store(cur[v].load());
         let c = v >> CHUNK_BITS;
         if !scratch.ever[c] {
             scratch.ever[c] = true;
             scratch.ever_list.push(c as u32);
         }
     }
-    scratch.stale.clear();
 
     let mut direction = Direction::TopDown;
     let mut frontier_edges: u64 = sources.iter().map(|&s| csr.out_degree(s) as u64).sum();
     let mut visited_edges = frontier_edges;
-    // Buffer roles swap by parity instead of swapping the vectors.
-    let mut flipped = false;
 
     let level_cap = if opts.max_levels == 0 {
         crate::sequential::MAX_LEVELS
@@ -1016,31 +1044,6 @@ fn run_width<A: AtomicStatus>(
             stats.sparse_levels += 1;
         }
         let depth = level as Depth;
-        *epoch += 1;
-        let tag = *epoch;
-        let (cur, next): (&[A], &[A]) = if flipped {
-            (&arena.next, &arena.cur)
-        } else {
-            (&arena.cur, &arena.next)
-        };
-
-        // Repair: copy cur -> next on last level's dirty chunks only,
-        // restoring the `next == cur` invariant after the swap.
-        if !scratch.stale.is_empty() {
-            scratch.cursor.reset();
-            let (stale, cursor) = (&scratch.stale, &scratch.cursor);
-            pool.run_profiled(cx.prof, track, level as u64, ProfPhase::Repair, |_lane| {
-                let mut claimed = 0u64;
-                while let Some(i) = cursor.claim(stale.len()) {
-                    claimed += 1;
-                    for v in chunk_range(stale[i] as usize, n) {
-                        next[v].store(cur[v].load());
-                    }
-                }
-                (claimed, claimed + 1)
-            });
-            stats.chunks_repaired += scratch.stale.len() as u64;
-        }
         if opts.per_level_reset {
             // MS-BFS maintains an extra visit map each level: model the
             // cost with one more full sweep over the words, on the pool
@@ -1084,8 +1087,9 @@ fn run_width<A: AtomicStatus>(
                 stats.tile_split_vertices += split;
                 let (tiles, bounds, cursor, tally) =
                     (&scratch.tiles, &scratch.bounds, &scratch.cursor, &scratch.tally);
-                let touched = &scratch.touched_epoch;
+                let changed = &scratch.changed;
                 pool.run_profiled(cx.prof, track, level as u64, ProfPhase::TopDownExpand, |lane| {
+                    let changed = &changed[lane][..];
                     while let Some(bi) = tally.claim(cursor, bounds.len(), lane) {
                         let (lo, hi) = bounds[bi];
                         for t in &tiles[lo as usize..hi as usize] {
@@ -1096,10 +1100,7 @@ fn run_width<A: AtomicStatus>(
                                 if !mask.and(old.not()).is_zero() {
                                     let prev = next[wi].fetch_or(mask);
                                     if !mask.and(prev.not()).is_zero() {
-                                        let c = wi >> CHUNK_BITS;
-                                        if touched[c].load(Ordering::Relaxed) != tag {
-                                            touched[c].store(tag, Ordering::Relaxed);
-                                        }
+                                        mark(changed, wi);
                                     }
                                 }
                             }
@@ -1123,8 +1124,9 @@ fn run_width<A: AtomicStatus>(
                 stats.td_chunks += scratch.bounds.len() as u64;
                 let (queue, bounds, cursor, tally) =
                     (&scratch.queue, &scratch.bounds, &scratch.cursor, &scratch.tally);
-                let touched = &scratch.touched_epoch;
+                let changed = &scratch.changed;
                 pool.run_profiled(cx.prof, track, level as u64, ProfPhase::TopDownExpand, |lane| {
+                    let changed = &changed[lane][..];
                     while let Some(bi) = tally.claim(cursor, bounds.len(), lane) {
                         let (lo, hi) = bounds[bi];
                         for &f in &queue[lo as usize..hi as usize] {
@@ -1135,10 +1137,7 @@ fn run_width<A: AtomicStatus>(
                                 if !mask.and(old.not()).is_zero() {
                                     let prev = next[wi].fetch_or(mask);
                                     if !mask.and(prev.not()).is_zero() {
-                                        let c = wi >> CHUNK_BITS;
-                                        if touched[c].load(Ordering::Relaxed) != tag {
-                                            touched[c].store(tag, Ordering::Relaxed);
-                                        }
+                                        mark(changed, wi);
                                     }
                                 }
                             }
@@ -1165,10 +1164,10 @@ fn run_width<A: AtomicStatus>(
                 stats.bu_chunks += scratch.bounds.len() as u64;
                 let (queue, bounds, cursor, tally) =
                     (&scratch.queue, &scratch.bounds, &scratch.cursor, &scratch.tally);
-                let touched = &scratch.touched_epoch;
-                let lanes = &scratch.lanes;
+                let (changed, lanes) = (&scratch.changed, &scratch.lanes);
                 let early = opts.early_termination;
                 pool.run_profiled(cx.prof, track, level as u64, ProfPhase::BottomUpSweep, |lane| {
+                    let changed = &changed[lane][..];
                     let mut st = lanes[lane].lock().unwrap();
                     while let Some(bi) = tally.claim(cursor, bounds.len(), lane) {
                         let (lo, hi) = bounds[bi];
@@ -1185,10 +1184,7 @@ fn run_width<A: AtomicStatus>(
                             }
                             if acc != init {
                                 next[fi].store(acc);
-                                let c = fi >> CHUNK_BITS;
-                                if touched[c].load(Ordering::Relaxed) != tag {
-                                    touched[c].store(tag, Ordering::Relaxed);
-                                }
+                                mark(changed, fi);
                             }
                             if acc.and(full) != full {
                                 // The unfinished set only shrinks during
@@ -1214,10 +1210,11 @@ fn run_width<A: AtomicStatus>(
             Direction::BottomUp => stats.bu_micros += traversal_micros,
         }
 
-        // Collect this level's dirty chunks, ascending.
+        // Collect this level's chunks with a changed vertex, ascending.
         scratch.touched.clear();
         for c in 0..num_chunks {
-            if scratch.touched_epoch[c].load(Ordering::Relaxed) == tag {
+            let words = chunk_words(c, n);
+            if scratch.changed.iter().any(|bits| any_marked(&bits[words.clone()])) {
                 scratch.touched.push(c as u32);
                 if !scratch.ever[c] {
                     scratch.ever[c] = true;
@@ -1227,15 +1224,15 @@ fn run_width<A: AtomicStatus>(
         }
         stats.chunks_touched += scratch.touched.len() as u64;
 
-        // Identification: diff words, record depths, build the top-down
-        // frontier — touched chunks only. Depth writes are block-buffered
-        // (see the module docs): a vertex with more than
-        // `DIRECT_WRITE_MAX` new bits parks them in per-row masks, and
-        // each row's cells are written once per block.
+        // Identification: for each changed vertex, diff its words, record
+        // depths, copy `next` into `cur` and push it on the top-down
+        // frontier. Depth writes are block-buffered (see the module docs):
+        // a vertex with more than `DIRECT_WRITE_MAX` new bits parks them in
+        // per-row masks, and each row's cells are written once per block.
         scratch.cursor.reset();
         {
-            let (touched_list, cursor, lanes) =
-                (&scratch.touched, &scratch.cursor, &scratch.lanes);
+            let (touched_list, cursor, lanes, changed) =
+                (&scratch.touched, &scratch.cursor, &scratch.lanes, &scratch.changed);
             let table = DepthTable(depths.as_mut_ptr());
             pool.run_profiled(cx.prof, track, level as u64, ProfPhase::Identify, |lane| {
                 let mut claimed = 0u64;
@@ -1262,40 +1259,45 @@ fn run_width<A: AtomicStatus>(
                 let (mut new_marked, mut new_edges) = (0u64, 0u64);
                 while let Some(i) = cursor.claim(touched_list.len()) {
                     claimed += 1;
-                    let range = chunk_range(touched_list[i] as usize, n);
-                    let (mut parked, mut base) = (A::Word::zero(), range.start);
-                    let words = cur[range.clone()].iter().zip(&next[range.clone()]);
-                    for (v, (old, new)) in range.zip(words) {
-                        let diff = new.load().and(old.load().not());
-                        if diff.is_zero() {
-                            continue;
+                    // One change-bitmap word is one write block, walked in
+                    // ascending vertex order.
+                    for wi in chunk_words(touched_list[i] as usize, n) {
+                        let mut bits = 0u64;
+                        for lane_bits in changed {
+                            let word = lane_bits[wi].load(Ordering::Relaxed);
+                            if word != 0 {
+                                bits |= word;
+                                lane_bits[wi].store(0, Ordering::Relaxed);
+                            }
                         }
-                        let marked = diff.count_ones();
-                        if marked <= DIRECT_WRITE_MAX {
-                            for j in diff.iter_ones() {
-                                // SAFETY: this lane claimed chunk
-                                // `touched_list[i]` exclusively, so cell
-                                // (j, v) has a single writer.
-                                unsafe { table.set(j as usize * n + v, depth) };
+                        let (mut parked, base) = (A::Word::zero(), wi * BLOCK);
+                        while bits != 0 {
+                            let v = base + bits.trailing_zeros() as usize;
+                            bits &= bits - 1;
+                            let new = next[v].load();
+                            let diff = new.and(cur[v].load().not());
+                            debug_assert!(!diff.is_zero(), "vertex {v} marked without a new bit");
+                            cur[v].store(new);
+                            let marked = diff.count_ones();
+                            if marked <= DIRECT_WRITE_MAX {
+                                for j in diff.iter_ones() {
+                                    // SAFETY: this lane claimed chunk
+                                    // `touched_list[i]` exclusively, so
+                                    // cell (j, v) has a single writer.
+                                    unsafe { table.set(j as usize * n + v, depth) };
+                                }
+                            } else {
+                                for j in diff.iter_ones() {
+                                    rows[j as usize] |= 1u64 << (v - base);
+                                }
+                                parked = parked.or(diff);
                             }
-                        } else {
-                            // Block ends are checked only on this path, so
-                            // the scan of sparse vertices does no per-block
-                            // work.
-                            if v - base >= BLOCK {
-                                flush(&mut rows, parked, base);
-                                (parked, base) = (A::Word::zero(), v & !(BLOCK - 1));
-                            }
-                            for j in diff.iter_ones() {
-                                rows[j as usize] |= 1u64 << (v - base);
-                            }
-                            parked = parked.or(diff);
+                            new_marked += marked as u64;
+                            new_edges += marked as u64 * csr.out_degree(v as VertexId) as u64;
+                            st.queue.push(v as VertexId);
                         }
-                        new_marked += marked as u64;
-                        new_edges += marked as u64 * csr.out_degree(v as VertexId) as u64;
-                        st.queue.push(v as VertexId);
+                        flush(&mut rows, parked, base);
                     }
-                    flush(&mut rows, parked, base);
                 }
                 st.new_marked += new_marked;
                 st.new_edges += new_edges;
@@ -1390,9 +1392,6 @@ fn run_width<A: AtomicStatus>(
         }
         direction = next_direction;
         std::mem::swap(&mut scratch.queue, &mut scratch.next_queue);
-        // Last level's dirty chunks become the stale set to repair.
-        std::mem::swap(&mut scratch.stale, &mut scratch.touched);
-        flipped = !flipped;
         level_seconds.push(level_start.elapsed().as_secs_f64());
         if new_marked == 0 {
             break;
@@ -1404,15 +1403,14 @@ fn run_width<A: AtomicStatus>(
     scratch.cursor.reset();
     {
         let (ever_list, cursor) = (&scratch.ever_list, &scratch.cursor);
-        let (a, b) = (&arena.cur[..], &arena.next[..]);
         let end_level = level_seconds.len() as u64;
         pool.run_profiled(cx.prof, track, end_level, ProfPhase::Cleanup, |_lane| {
             let mut claimed = 0u64;
             while let Some(i) = cursor.claim(ever_list.len()) {
                 claimed += 1;
                 for v in chunk_range(ever_list[i] as usize, n) {
-                    a[v].store(A::Word::zero());
-                    b[v].store(A::Word::zero());
+                    cur[v].store(A::Word::zero());
+                    next[v].store(A::Word::zero());
                 }
             }
             (claimed, claimed + 1)
@@ -1422,8 +1420,6 @@ fn run_width<A: AtomicStatus>(
         scratch.ever[c as usize] = false;
     }
     scratch.ever_list.clear();
-    scratch.stale.clear();
-    scratch.touched.clear();
     scratch.queue.clear();
 
     stats.levels += level_seconds.len() as u64;

@@ -14,9 +14,16 @@
 //! The caller participates as worker 0, so a pool of `threads` executes
 //! phases on `threads` lanes while owning only `threads - 1` OS threads; a
 //! single-threaded pool never synchronizes at all.
+//!
+//! A lane that panics does not break the barrier: every lane's panic is
+//! caught, the phase still waits for all lanes, and only then does
+//! [`WorkerPool::run`] resume the first caught panic on the caller. The
+//! workers survive and serve the next phase.
 
 use ibfs_obs::{EngineProfiler, ProfPhase};
+use std::any::Any;
 use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -56,6 +63,8 @@ struct State {
     job: Option<Job>,
     /// Workers still executing the current phase.
     active: usize,
+    /// The first panic caught in the current phase, on any lane.
+    panic: Option<Box<dyn Any + Send>>,
     /// Set by `Drop` to retire the workers.
     shutdown: bool,
 }
@@ -87,6 +96,7 @@ impl WorkerPool {
                 generation: 0,
                 job: None,
                 active: 0,
+                panic: None,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
@@ -129,7 +139,8 @@ impl WorkerPool {
     /// Runs `f(lane)` on every lane and returns once all lanes finish.
     ///
     /// `f` runs on the calling thread as lane 0 concurrently with the pool
-    /// workers on lanes `1..threads`.
+    /// workers on lanes `1..threads`. If any lane panics, the first caught
+    /// panic is resumed here once every lane has finished.
     pub fn run<F>(&self, f: F)
     where
         F: Fn(usize) + Sync,
@@ -143,6 +154,7 @@ impl WorkerPool {
         // SAFETY (lifetime erasure): the pointer is dereferenced only by
         // workers between the generation bump below and the `active == 0`
         // barrier we block on before returning, so it never outlives `f`.
+        // A panic in `f(0)` is caught, so unwinding cannot skip the barrier.
         let job = Job(unsafe {
             std::mem::transmute::<*const (dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(
                 wide as *const _,
@@ -156,12 +168,19 @@ impl WorkerPool {
             st.generation += 1;
             self.shared.work_cv.notify_all();
         }
-        f(0);
+        let caller = catch_unwind(AssertUnwindSafe(|| f(0)));
         let mut st = self.shared.state.lock().unwrap();
+        if let Err(payload) = caller {
+            st.panic.get_or_insert(payload);
+        }
         while st.active > 0 {
             st = self.shared.done_cv.wait(st).unwrap();
         }
         st.job = None;
+        if let Some(payload) = st.panic.take() {
+            drop(st);
+            resume_unwind(payload);
+        }
     }
 
     /// [`WorkerPool::run`] with optional phase profiling: when `prof` is
@@ -227,8 +246,11 @@ fn worker_loop(shared: &Shared, lane: usize) {
         };
         // SAFETY: see `Job` — the dispatcher keeps the closure alive until
         // every worker has decremented `active`.
-        (unsafe { &*job.0 })(lane);
+        let result = catch_unwind(AssertUnwindSafe(|| (unsafe { &*job.0 })(lane)));
         let mut st = shared.state.lock().unwrap();
+        if let Err(payload) = result {
+            st.panic.get_or_insert(payload);
+        }
         st.active -= 1;
         if st.active == 0 {
             shared.done_cv.notify_all();
@@ -376,6 +398,59 @@ mod tests {
         assert_eq!(cursor.claim(6), Some(5));
         assert_eq!(cursor.claim(6), None);
         assert_eq!(cursor.claim(6), None);
+    }
+
+    /// Runs a phase on a 3-lane pool in which lane `failing` panics once
+    /// every other lane has started, and returns the panic `run` surfaced
+    /// and how many other lanes had finished by then.
+    fn panicking_phase(pool: &WorkerPool, failing: usize) -> (Box<dyn Any + Send>, u32) {
+        let started = AtomicU32::new(0);
+        let finished = AtomicU32::new(0);
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            pool.run(|lane| {
+                if lane == failing {
+                    // Panic only while the other lanes are mid-phase.
+                    while started.load(Ordering::SeqCst) < 2 {
+                        std::hint::spin_loop();
+                    }
+                    panic!("lane failed");
+                }
+                started.fetch_add(1, Ordering::SeqCst);
+                // Stay mid-phase a while after the panic, so a `run` that
+                // returned early would see fewer than two lanes finished.
+                for _ in 0..1000 {
+                    std::thread::yield_now();
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+            })
+        }))
+        .expect_err("the lane's panic surfaces from run");
+        (payload, finished.load(Ordering::SeqCst))
+    }
+
+    #[test]
+    fn lane_panics_surface_only_after_every_lane_finished() {
+        let pool = WorkerPool::new(3);
+        // A worker lane, then the caller's own lane 0.
+        for failing in [2, 0] {
+            let (payload, finished) = panicking_phase(&pool, failing);
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"lane failed"),
+                "lane {failing}"
+            );
+            assert_eq!(
+                finished, 2,
+                "lane {failing}: run returned before the other lanes"
+            );
+        }
+        // The pool survives and runs a normal phase on every lane.
+        let hits: Vec<AtomicU32> = (0..3).map(|_| AtomicU32::new(0)).collect();
+        pool.run(|lane| {
+            hits[lane].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        assert_eq!(pool.phases_run(), 3);
     }
 
     #[test]

@@ -56,7 +56,9 @@ pub enum ProfPhase {
     /// wall minus lane body).
     BarrierWait,
     /// Dirty-chunk repair of stale status words. Counters: chunks
-    /// repaired by this lane, total.
+    /// repaired by this lane, total. No CPU engine emits it any more: the
+    /// level loop's identification phase restores its status invariant
+    /// itself. It stays because the benchmark package names it.
     Repair,
     /// Async-engine FIFO drain. Counters: items drained, relaxed
     /// (re-improved) items.

@@ -4,7 +4,9 @@
 //! duplicate sources within a group — plus the no-per-level-spawn
 //! acceptance check.
 
-use ibfs_repro::graph::generators::{chung_lu, powerlaw_weights, rmat, uniform_random, RmatParams};
+use ibfs_repro::graph::generators::{
+    chung_lu, grid2d, powerlaw_weights, rmat, uniform_random, RmatParams,
+};
 use ibfs_repro::graph::validate::reference_bfs;
 use ibfs_repro::graph::{Csr, VertexId};
 use ibfs_repro::ibfs::cpu::{CpuIbfs, CpuMsBfs};
@@ -23,6 +25,10 @@ fn seeded_graphs() -> Vec<(String, Csr)> {
             "chung-lu".to_string(),
             chung_lu(&powerlaw_weights(300, 7.0, 2.1), 29),
         ),
+        // The only input spanning several 1024-vertex chunks: n = 2115
+        // covers three, is not a multiple of 64, and its 90 levels change
+        // vertices across chunk and change-bitmap word boundaries.
+        ("mesh".to_string(), grid2d(45, 47)),
     ]
 }
 
