@@ -49,24 +49,19 @@ cargo run -q --offline -p ibfs-bench --bin bfs -- serve-bench suite:PK \
     --metrics-out "$QOS_SNAP"
 cargo run -q --offline -p ibfs-bench --bin metrics-check -- "$QOS_SNAP"
 
-# CPU-engine gate: a seeded cpu-bench sweep of all three engines — each
-# also under the hub-clustered vertex reordering (--reorder hub sweeps
-# none+hub) — with --check asserts every engine's depths, reordered or
-# not, are bit-identical to reference_bfs and to the frozen pre-pool
-# baseline, runs the hub-heavy tiling gate (tiled TEPS >= pooled) and the
-# reorder locality gate (tiled+hub TEPS >= tiled, both enforced on >=
+# CPU-engine gate: a seeded cpu-bench run of the CPU engine, plain and
+# under the hub-clustered vertex reordering (--reorder hub sweeps
+# none+hub). --check asserts its depths, reordered or not, are
+# bit-identical to reference_bfs and to the frozen pre-pool baseline,
+# runs the reorder locality gate (hub TEPS >= plain TEPS, enforced on >=
 # 2-core hosts only), and validates the emitted BENCH_cpu.json schema
-# through the in-tree JSON codec before writing it. The tile/async
-# equivalence walls then pin the tiled and async engines to the pooled
-# engine under -O, and the reorder differential wall pins every engine ×
-# ordering × width combination to the unreordered run bit for bit.
+# through the in-tree JSON codec before writing it. The reorder
+# differential wall then pins every ordering × width combination to the
+# unreordered run bit for bit under -O.
 cargo run -q --release --offline -p ibfs-bench --bin bfs -- cpu-bench \
     --scale 9 --edge-factor 8 --seed 42 --sources 32 --threads 2 \
-    --engine pooled,tiled,async --reorder hub --repeat 5 --check \
-    --out "$BENCH"
+    --reorder hub --repeat 5 --check --out "$BENCH"
 test -s "$BENCH"
-cargo test -q --release --offline --test tiled_differential
-cargo test -q --release --offline --test async_equivalence
 cargo test -q --release --offline --test reorder_differential
 
 # Sharded-traversal gate: the seeded shard-bench --check fails unless the
@@ -103,11 +98,10 @@ BFS_BIN=target/release/bfs
 overhead_ok=0
 for attempt in 1 2 3; do
     "$BFS_BIN" cpu-bench --scale 13 --edge-factor 8 --seed 42 \
-        --sources 32 --engine pooled,tiled,async --threads 2 --repeat 5 \
-        --out "$PLAIN" > /dev/null
+        --sources 32 --threads 2 --repeat 5 --out "$PLAIN" > /dev/null
     "$BFS_BIN" cpu-bench --scale 13 --edge-factor 8 --seed 42 \
-        --sources 32 --engine pooled,tiled,async --threads 2 --repeat 5 \
-        --out "$PROFD" --profile-out "$PROF" > /dev/null
+        --sources 32 --threads 2 --repeat 5 --out "$PROFD" \
+        --profile-out "$PROF" > /dev/null
     if "$BFS_BIN" perf-diff "$PLAIN" "$PROFD" --noise 5 \
         --calibrate baseline --check; then
         overhead_ok=1

@@ -16,7 +16,6 @@
 //!             [--trace PATH] [--profile-out PATH] [--profile-trace PATH]
 //! bfs cpu-bench [--scale N] [--edge-factor N] [--seed N] [--sources N]
 //!             [--group-size N] [--threads N[,N...]] [--width 32|64|128|256]
-//!             [--engine pooled|tiled|async[,...]] [--tile-size N]
 //!             [--reorder none|degree|hub|rcm[,...]] [--repeat N] [--check]
 //!             [--out PATH] [--profile-out PATH] [--profile-trace PATH]
 //! bfs shard-bench [--scale N] [--edge-factor N] [--seed N] [--sources N]
@@ -28,7 +27,7 @@
 //! GRAPH    a binary CSR file from `graphgen --format bin`, or a suite
 //!          name prefixed with `suite:` (e.g. `suite:FB`)
 //! ENGINE   sequential | naive | joint | bitwise (default) | msbfs | spmm,
-//!          or a measured CPU engine: pooled | tiled | async
+//!          or the measured CPU engine: pooled
 //! PATH     output destination (`-` for stdout)
 //!
 //! `stats` runs one traversal and prints the metrics registry
@@ -53,7 +52,7 @@
 //! Butterfly exchanges strictly fewer messages than AllToAll at ≥ 4
 //! shards.
 //!
-//! A CPU engine on the one-shot path (`--engine pooled|tiled|async`) runs
+//! The CPU engine on the one-shot path (`--engine pooled`) runs
 //! through the measured `CpuService` and can export the per-lane phase
 //! profile: `--profile` writes the versioned ProfileReport JSON,
 //! `--profile-trace` a Chrome trace-event file (load into
@@ -109,7 +108,7 @@ fn main() -> ExitCode {
     }
     let graph_arg = args.remove(0);
     let mut engine = EngineKind::Bitwise;
-    let mut cpu_engine: Option<ibfs::cpu::CpuEngine> = None;
+    let mut cpu = false;
     let mut sources_n = 64usize;
     let mut source_list: Option<Vec<VertexId>> = None;
     let mut group_size = 64usize;
@@ -132,12 +131,10 @@ fn main() -> ExitCode {
                     Some("bitwise") => engine = EngineKind::Bitwise,
                     Some("msbfs") => engine = EngineKind::BitwiseMsBfsStyle,
                     Some("spmm") => engine = EngineKind::Spmm,
-                    // The measured CPU engines route through CpuService
+                    // The measured CPU engine routes through CpuService
                     // (wall-clock, profiler hooks) instead of the simulator.
-                    other => match other.and_then(ibfs::cpu::CpuEngine::parse) {
-                        Some(e) => cpu_engine = Some(e),
-                        None => return usage(&format!("unknown engine {other:?}")),
-                    },
+                    Some("pooled") => cpu = true,
+                    other => return usage(&format!("unknown engine {other:?}")),
                 }
             }
             "--sources" => {
@@ -187,11 +184,11 @@ fn main() -> ExitCode {
             other => return usage(&format!("unknown option {other}")),
         }
     }
-    if (profile_out.is_some() || profile_trace.is_some()) && cpu_engine.is_none() {
-        return usage("--profile/--profile-trace need a CPU engine (--engine pooled|tiled|async)");
+    if (profile_out.is_some() || profile_trace.is_some()) && !cpu {
+        return usage("--profile/--profile-trace need the CPU engine (--engine pooled)");
     }
-    if cpu_engine.is_some() && trace.is_some() {
-        return usage("--trace is simulator-only; CPU engines export --profile/--profile-trace");
+    if cpu && trace.is_some() {
+        return usage("--trace is simulator-only; the CPU engine exports --profile/--profile-trace");
     }
 
     let graph: Csr = match load_graph(&graph_arg) {
@@ -205,12 +202,11 @@ fn main() -> ExitCode {
     if let Some(&bad) = sources.iter().find(|&&s| s as usize >= graph.num_vertices()) {
         return usage(&format!("source {bad} out of range"));
     }
-    if let Some(cpu) = cpu_engine {
+    if cpu {
         return one_shot_cpu(
             &graph,
             &reverse,
             &sources,
-            cpu,
             group_size,
             print_depths,
             print_levels,
@@ -314,7 +310,7 @@ fn load_graph(graph_arg: &str) -> Result<Csr, ExitCode> {
     }
 }
 
-/// One-shot traversal through a measured CPU engine ([`ibfs::cpu`]) with
+/// One-shot traversal through the measured CPU engine ([`ibfs::cpu`]) with
 /// optional profiler export. Unlike the simulator path this reports
 /// wall-clock (not simulated) time, and the per-lane phase breakdown goes
 /// to `--profile`/`--profile-trace`.
@@ -323,20 +319,18 @@ fn one_shot_cpu(
     graph: &Csr,
     reverse: &Csr,
     sources: &[VertexId],
-    engine: ibfs::cpu::CpuEngine,
     group_size: usize,
     print_depths: bool,
     print_levels: bool,
     profile_out: Option<&str>,
     profile_trace: Option<&str>,
 ) -> ExitCode {
-    let cpu = ibfs::cpu::CpuIbfs { engine, ..Default::default() };
+    let cpu = ibfs::cpu::CpuIbfs::default();
     let group_size = group_size.min(cpu.width.bits() as usize).min(ibfs::cpu::CPU_GROUP);
     eprintln!(
-        "graph: {} vertices, {} edges; cpu engine {}; {} sources in groups of {group_size}",
+        "graph: {} vertices, {} edges; cpu engine pooled; {} sources in groups of {group_size}",
         graph.num_vertices(),
         graph.num_edges(),
-        engine.name(),
         sources.len(),
     );
     let mut svc = cpu.service(graph, reverse);
@@ -392,9 +386,7 @@ fn one_shot_cpu(
         }
     }
     if let Some(p) = &prof {
-        if let Err(code) =
-            export_profile(p, &format!("bfs-{}", engine.name()), profile_out, profile_trace)
-        {
+        if let Err(code) = export_profile(p, "bfs-pooled", profile_out, profile_trace) {
             return code;
         }
     }
@@ -924,17 +916,15 @@ fn locality_stats(graph: &Csr, json: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `bfs cpu-bench` — measure the round-2 CPU engines (pooled, tiled,
-/// async) against the frozen pre-pool baseline on a seeded R-MAT workload
-/// and write `BENCH_cpu.json`. `--check` verifies every engine's depths
-/// against `reference_bfs` and, when the tiled engine is swept, gates
-/// tiled TEPS >= pooled TEPS on a hub-heavy graph — plus, when a
-/// non-`none` `--reorder` ordering is swept with it, gates reordered
-/// tiled TEPS >= unreordered tiled TEPS on a power-law R-MAT (both gates
-/// report without enforcing on single-core hosts).
+/// `bfs cpu-bench` — measure the CPU engine against the frozen pre-pool
+/// baseline on a seeded R-MAT workload and write `BENCH_cpu.json`.
+/// `--check` verifies every run's depths against `reference_bfs` and, when
+/// a non-`none` `--reorder` ordering is swept, gates reordered TEPS >=
+/// unreordered TEPS on a power-law R-MAT (reported without being enforced
+/// on single-core hosts).
 fn cpu_bench(args: Vec<String>) -> ExitCode {
     use ibfs_bench::cpubench::{
-        lost_gates, report_summary, report_to_json, run_cpu_bench, validate_report_json,
+        lost_gate, report_summary, report_to_json, run_cpu_bench, validate_report_json,
         CpuBenchConfig,
     };
     let mut cfg = CpuBenchConfig::default();
@@ -998,25 +988,6 @@ fn cpu_bench(args: Vec<String>) -> ExitCode {
                     }
                 }
             }
-            "--engine" => {
-                let Some(list) = it.next() else {
-                    return usage("--engine needs a name or comma list (pooled|tiled|async)");
-                };
-                let parsed: Option<Vec<_>> = list
-                    .split(',')
-                    .map(|x| ibfs::cpu::CpuEngine::parse(x.trim()))
-                    .collect();
-                match parsed {
-                    Some(v) if !v.is_empty() => cfg.engines = v,
-                    _ => return usage("bad --engine list (expect pooled|tiled|async)"),
-                }
-            }
-            "--tile-size" => {
-                cfg.tile_size = match it.next().and_then(|s| s.parse().ok()) {
-                    Some(n) => n,
-                    None => return usage("--tile-size needs a number (0 = autotune)"),
-                }
-            }
             "--reorder" => {
                 let Some(list) = it.next() else {
                     return usage("--reorder needs a name or comma list (none|degree|hub|rcm)");
@@ -1073,11 +1044,10 @@ fn cpu_bench(args: Vec<String>) -> ExitCode {
         (profile_out.is_some() || profile_trace.is_some()).then(EngineProfiler::shared);
     cfg.profiler = profiler.clone();
 
-    let engine_names: Vec<&str> = cfg.engines.iter().map(|e| e.name()).collect();
     let reorder_names: Vec<&str> = cfg.reorders.iter().map(|r| r.name()).collect();
     eprintln!(
         "cpu-bench: rmat scale {} edge-factor {} seed {}; {} sources, groups of {}, \
-         width {}, threads {:?}, engines {engine_names:?}, tile-size {}, reorder {reorder_names:?}{}",
+         width {}, threads {:?}, reorder {reorder_names:?}{}",
         cfg.scale,
         cfg.edge_factor,
         cfg.seed,
@@ -1085,15 +1055,11 @@ fn cpu_bench(args: Vec<String>) -> ExitCode {
         cfg.group_size,
         cfg.width,
         cfg.threads,
-        cfg.tile_size,
         if cfg.check { " (checked against reference + baseline)" } else { "" },
     );
     let report = run_cpu_bench(&cfg);
-    let lost = lost_gates(&report.hub_gate, &report.reorder_gate);
-    if !lost.is_empty() {
-        for gate in &lost {
-            eprintln!("error: {gate}");
-        }
+    if let Some(gate) = lost_gate(&report.reorder_gate) {
+        eprintln!("error: {gate}");
         return ExitCode::FAILURE;
     }
     let body = report_to_json(&report);
@@ -1386,7 +1352,7 @@ fn usage(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: bfs <GRAPH|suite:NAME> [--engine sequential|naive|joint|bitwise|msbfs|spmm\
-         |pooled|tiled|async] \
+         |pooled] \
          [--sources N | --source-list a,b,c] [--group-size N] [--groupby] [--depths] [--levels] \
          [--trace PATH|-] [--profile PATH|-] [--profile-trace PATH|-]\n\
        bfs stats <GRAPH|suite:NAME> [--engine ENGINE] [--sources N] [--group-size N] \
@@ -1401,7 +1367,6 @@ fn usage(msg: &str) -> ExitCode {
          [--profile-out PATH|-] [--profile-trace PATH|-]\n\
        bfs cpu-bench [--scale N] [--edge-factor N] [--seed N] [--sources N] \
          [--group-size N] [--threads N[,N...]] [--width 32|64|128|256] \
-         [--engine pooled|tiled|async[,...]] [--tile-size N] \
          [--reorder none|degree|hub|rcm[,...]] [--repeat N] [--check] \
          [--out PATH|-] [--profile-out PATH|-] [--profile-trace PATH|-]\n\
        bfs shard-bench [--scale N] [--edge-factor N] [--seed N] [--sources N] \

@@ -10,7 +10,7 @@
 
 use crate::result::gteps;
 use crate::{FigureResult, HarnessConfig};
-use ibfs::cpu::{run_cpu_many, CpuIbfs, CpuMsBfs};
+use ibfs::cpu::{CpuIbfs, CpuMsBfs, CpuRun};
 use ibfs::engine::EngineKind;
 use ibfs::groupby::{GroupByConfig, GroupingStrategy};
 use ibfs::runner::{run_ibfs, RunConfig};
@@ -41,9 +41,10 @@ pub fn run(cfg: &HarnessConfig) -> FigureResult {
                 CpuIbfs { threads: cfg.threads, width: cfg.width, ..Default::default() }
                     .service(&g, &r)
             };
-            let runs = run_cpu_many(&sources, cpu_group, |group| {
-                svc.run_group(group).expect("fig22 groups are sized to capacity")
-            });
+            let runs: Vec<CpuRun> = sources
+                .chunks(cpu_group)
+                .map(|group| svc.run_group(group).expect("fig22 groups are sized to capacity"))
+                .collect();
             let edges: u64 = runs.iter().map(|x| x.traversed_edges).sum();
             let secs: f64 = runs.iter().map(|x| x.wall_seconds).sum();
             edges as f64 / secs.max(1e-12)

@@ -2,7 +2,7 @@
 //! cache-locality round; no paper counterpart — the repo's own ablation,
 //! see DESIGN.md §10 "Locality & adaptivity").
 //!
-//! For each [`ReorderKind`] the tiled engine runs the same sources through
+//! For each [`ReorderKind`] the CPU engine runs the same sources through
 //! a resident service built over the relabeled CSR. Two columns carry the
 //! story: the mean absolute neighbor gap `mean |u - v|` (the static
 //! locality surrogate — how far apart a vertex's neighbors sit in the
@@ -17,7 +17,7 @@
 
 use crate::result::gteps;
 use crate::{FigureResult, HarnessConfig};
-use ibfs::cpu::{run_cpu_many, CpuEngine, CpuIbfs};
+use ibfs::cpu::{CpuIbfs, CpuRun};
 use ibfs_graph::generators::{rmat, RmatParams};
 use ibfs_graph::reorder::{mean_neighbor_gap, ReorderKind, VertexPerm};
 
@@ -25,8 +25,8 @@ use ibfs_graph::reorder::{mean_neighbor_gap, ReorderKind, VertexPerm};
 pub fn run(cfg: &HarnessConfig) -> FigureResult {
     let mut out = FigureResult::new(
         "locality",
-        "vertex reordering: mean neighbor gap vs tiled-engine GTEPS (R-MAT)",
-        &["reorder", "mean |u-v|", "gap vs none", "tiled", "speedup vs none"],
+        "vertex reordering: mean neighbor gap vs CPU-engine GTEPS (R-MAT)",
+        &["reorder", "mean |u-v|", "gap vs none", "pooled", "speedup vs none"],
     );
     let scale = 14u32.saturating_sub(cfg.shrink).max(8);
     let g = rmat(scale, 8, RmatParams::graph500(), 42);
@@ -43,17 +43,13 @@ pub fn run(cfg: &HarnessConfig) -> FigureResult {
             None => mean_neighbor_gap(&g),
             Some(perm) => mean_neighbor_gap(&perm.apply(&g)),
         };
-        let mut svc = CpuIbfs {
-            threads: cfg.threads,
-            width: cfg.width,
-            engine: CpuEngine::Tiled,
-            reorder: kind,
-            ..Default::default()
-        }
-        .service(&g, &r);
-        let runs = run_cpu_many(&sources, cpu_group, |group| {
-            svc.run_group(group).expect("locality groups are sized to capacity")
-        });
+        let mut svc =
+            CpuIbfs { threads: cfg.threads, width: cfg.width, reorder: kind, ..Default::default() }
+                .service(&g, &r);
+        let runs: Vec<CpuRun> = sources
+            .chunks(cpu_group)
+            .map(|group| svc.run_group(group).expect("locality groups are sized to capacity"))
+            .collect();
         let depths: Vec<ibfs_graph::Depth> =
             runs.iter().flat_map(|x| x.depths.iter().copied()).collect();
         match &base_depths {
@@ -76,7 +72,7 @@ pub fn run(cfg: &HarnessConfig) -> FigureResult {
         ]);
     }
     out.note(
-        "methodology: same sources and tiled engine per ordering, resident service \
+        "methodology: same sources and CPU engine per ordering, resident service \
          (relabel amortized at build), depths asserted bit-identical across orderings; \
          the gap column is deterministic, the TEPS column is wall-clock (see \
          EXPERIMENTS.md)"

@@ -1,7 +1,6 @@
 //! One module per reproduced table/figure. See DESIGN.md §4 for the index.
 
 pub mod ablations;
-pub mod crossover;
 pub mod fig11;
 pub mod fig14;
 pub mod fig15;
@@ -23,9 +22,9 @@ use crate::{FigureResult, HarnessConfig};
 
 /// All reproducible experiment ids, in paper order (repo-own ablations
 /// last).
-pub const ALL_IDS: [&str; 18] = [
+pub const ALL_IDS: [&str; 17] = [
     "fig2", "fig6", "fig8", "fig9", "fig11", "fig14", "fig15", "fig16", "fig17", "fig18",
-    "fig19", "fig20", "fig21", "fig22", "table1", "ablations", "crossover", "locality",
+    "fig19", "fig20", "fig21", "fig22", "table1", "ablations", "locality",
 ];
 
 /// Runs one experiment by id.
@@ -47,7 +46,6 @@ pub fn run_by_id(id: &str, cfg: &HarnessConfig) -> Option<FigureResult> {
         "fig22" => fig22::run(cfg),
         "table1" => table1::run(cfg),
         "ablations" => ablations::run(cfg),
-        "crossover" => crossover::run(cfg),
         "locality" => locality::run(cfg),
         _ => return None,
     })
@@ -136,6 +134,6 @@ mod tests {
             assert!(!id.is_empty());
         }
         assert!(run_by_id("not-an-experiment", &crate::HarnessConfig::tiny()).is_none());
-        assert_eq!(ALL_IDS.len(), 18);
+        assert_eq!(ALL_IDS.len(), 17);
     }
 }

@@ -3,12 +3,11 @@
 //! The committed benchmark report is the repo's perf trajectory record;
 //! this module turns a pair of reports into a reviewable table and a CI
 //! verdict. Runs are matched by `(engine, reorder, threads)` — a
-//! hub-reordered tiled row only ever compares against the same reordered
-//! row, never against the unreordered one it is supposed to beat; a run
-//! whose TEPS falls below `base * (1 - noise/100)` is a regression. The
-//! hub-gate and reorder-gate blocks of both documents are surfaced so
-//! "gate stopped being enforced" is visible in the same place as the
-//! rates.
+//! hub-reordered row only ever compares against the same reordered row,
+//! never against the unreordered one it is supposed to beat; a run whose
+//! TEPS falls below `base * (1 - noise/100)` is a regression. The
+//! reorder-gate blocks of both documents are surfaced so "gate stopped
+//! being enforced" is visible in the same place as the rates.
 //!
 //! The noise band exists because TEPS is a wall-clock measurement: the
 //! default [`DEFAULT_NOISE_PCT`] absorbs scheduler jitter and
@@ -25,9 +24,7 @@
 //! (it is clamped at 1.0) so a lucky-fast reference cannot manufacture
 //! failures, and the calibrating rows themselves are never flagged.
 
-use crate::cpubench::{
-    lost_gates, validate_report_json, CpuBenchReport, HubGateStatus, ReorderGateStatus,
-};
+use crate::cpubench::{lost_gate, validate_report_json, CpuBenchReport, ReorderGateStatus};
 use std::fmt::Write as _;
 
 /// Default allowed TEPS drop, in percent. Wide on purpose: the committed
@@ -37,7 +34,7 @@ pub const DEFAULT_NOISE_PCT: f64 = 30.0;
 /// One matched `(engine, reorder, threads)` comparison.
 #[derive(Clone, Debug)]
 pub struct DiffRow {
-    /// Engine name (`"baseline"`, `"pooled"`, `"tiled"`, `"async"`).
+    /// Engine name (`"baseline"` or `"pooled"`).
     pub engine: String,
     /// Vertex ordering the row was measured under (`"none"` = natural).
     pub reorder: String,
@@ -74,10 +71,6 @@ pub struct PerfDiff {
     pub calibration: f64,
     /// Engine named by `--calibrate`, if it matched any rows.
     pub calibrated_against: Option<String>,
-    /// Hub-gate outcome recorded in the base report.
-    pub base_gate: HubGateStatus,
-    /// Hub-gate outcome recorded in the new report.
-    pub new_gate: HubGateStatus,
     /// Reorder-gate outcome recorded in the base report.
     pub base_reorder_gate: ReorderGateStatus,
     /// Reorder-gate outcome recorded in the new report.
@@ -95,7 +88,7 @@ impl PerfDiff {
     pub fn passes(&self) -> bool {
         self.regressions().is_empty()
             && self.missing.is_empty()
-            && lost_gates(&self.new_gate, &self.new_reorder_gate).is_empty()
+            && lost_gate(&self.new_reorder_gate).is_none()
     }
 }
 
@@ -174,8 +167,6 @@ pub fn diff_reports(
         noise_pct,
         calibration,
         calibrated_against,
-        base_gate: base.hub_gate,
-        new_gate: new.hub_gate,
         base_reorder_gate: base.reorder_gate.clone(),
         new_reorder_gate: new.reorder_gate.clone(),
     }
@@ -201,36 +192,17 @@ fn reorder_gate_line(g: &ReorderGateStatus) -> String {
         return "not run".to_string();
     }
     format!(
-        "{} (tiled {:.0} TEPS, tiled+{} {:.0} TEPS, {:.2}x at {} threads)",
+        "{} (plain {:.0} TEPS, {} {:.0} TEPS, {:.2}x at {} threads)",
         match (g.enforced, g.passed) {
             (true, true) => "enforced, passed",
             (true, false) => "enforced, LOST",
             (false, true) => "reported only (single-core host), ordering held",
             (false, false) => "reported only (single-core host), ordering inverted",
         },
-        g.tiled_teps,
+        g.plain_teps,
         g.reorder,
         g.reordered_teps,
-        g.reordered_teps / g.tiled_teps.max(1e-12),
-        g.threads,
-    )
-}
-
-fn gate_line(g: &HubGateStatus) -> String {
-    if !g.ran {
-        return "not run".to_string();
-    }
-    format!(
-        "{} (pooled {:.0} TEPS, tiled {:.0} TEPS, {:.2}x at {} threads)",
-        match (g.enforced, g.passed) {
-            (true, true) => "enforced, passed",
-            (true, false) => "enforced, LOST",
-            (false, true) => "reported only (single-core host), ordering held",
-            (false, false) => "reported only (single-core host), ordering inverted",
-        },
-        g.pooled_teps,
-        g.tiled_teps,
-        g.tiled_teps / g.pooled_teps.max(1e-12),
+        g.reordered_teps / g.plain_teps.max(1e-12),
         g.threads,
     )
 }
@@ -285,8 +257,6 @@ pub fn render_diff(diff: &PerfDiff, base_label: &str, new_label: &str) -> String
     for a in &diff.added {
         let _ = writeln!(out, "  {a}: new run (no baseline to compare)");
     }
-    let _ = writeln!(out, "  hub gate: base {}", gate_line(&diff.base_gate));
-    let _ = writeln!(out, "  hub gate: new  {}", gate_line(&diff.new_gate));
     let _ = writeln!(out, "  reorder gate: base {}", reorder_gate_line(&diff.base_reorder_gate));
     let _ = writeln!(out, "  reorder gate: new  {}", reorder_gate_line(&diff.new_reorder_gate));
     let regressions = diff.regressions().len();
@@ -331,7 +301,7 @@ mod tests {
         }
         let text = render_diff(&diff, "a.json", "b.json");
         assert!(text.contains("PASS"));
-        assert!(text.contains("hub gate: base not run"));
+        assert!(text.contains("reorder gate: base not run"));
     }
 
     #[test]
@@ -468,13 +438,14 @@ mod tests {
     fn an_enforced_gate_lost_in_the_new_report_fails_the_check() {
         let base = report();
         let mut lost = base.clone();
-        lost.hub_gate = HubGateStatus {
+        lost.reorder_gate = ReorderGateStatus {
             ran: true,
             enforced: true,
             passed: false,
+            reorder: "hub".to_string(),
             threads: 2,
-            pooled_teps: 2.0,
-            tiled_teps: 1.0,
+            plain_teps: 2.0,
+            reordered_teps: 1.0,
         };
         let diff = diff_reports(&base, &lost, 30.0, None);
         assert!(diff.regressions().is_empty() && diff.missing.is_empty());

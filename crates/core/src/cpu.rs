@@ -47,27 +47,15 @@
 //! * **Work stealing** — top-down and bottom-up frontiers are pre-split
 //!   into degree-balanced chunks (weight = degree + 1) and claimed through
 //!   a shared atomic cursor, so a lane that lands on a power-law hub simply
-//!   claims fewer chunks; the old static `even_ranges` split is gone.
+//!   claims fewer chunks; the old static `even_ranges` split is gone. The
+//!   chunk count per lane is autotuned from the degree histogram at
+//!   [`CpuService::new`]: skewed graphs get more, finer chunks.
 //!
-//! # Round 2: edge tiles and the async variant
-//!
-//! [`CpuEngine`] selects among three hot paths sharing the pool and arena:
-//!
-//! * [`CpuEngine::Pooled`] — the PR 5 engine above, unchanged.
-//! * [`CpuEngine::Tiled`] — same level loop, but the top-down frontier is
-//!   expanded into [`crate::tile::EdgeTile`]s under the service's
-//!   [`TilePlan`] before the degree-balanced split, so a hub's edge list
-//!   spreads across every lane instead of pinning one. The relaxation is
-//!   a commutative monotone OR, so tiling cannot change any depth or
-//!   `traversed_edges` — bit-identity to Pooled is pinned by
-//!   `tests/tiled_differential.rs`. Bottom-up is untouched (its
-//!   single-writer-per-word invariant would not survive splitting).
-//! * [`CpuEngine::Async`] — no level loop at all; see [`crate::asyncq`].
-//!
-//! The tile size and the steal-chunk count are autotuned from the degree
-//! histogram at [`CpuService::new`] (override with
-//! [`CpuOptions::tile_size`]): tile size targets a small multiple of the
-//! average degree, and skewed graphs get more, finer steal chunks.
+//! An edge-tiled engine and an asynchronous label-correcting engine once
+//! ran beside this level loop, and both were measured against it on the
+//! `benchmark` workloads: tiled stayed within noise and async was slower
+//! on every workload, the high-diameter mesh included. Both were removed,
+//! so this loop is the only CPU engine (DESIGN.md, *CPU engine round 2*).
 //!
 //! # Identification writes
 //!
@@ -120,14 +108,12 @@
 //! [`RequestError`]s, matching the GPU service's admission style.
 
 use crate::direction::{Direction, DirectionPolicy, DirectionTuner};
-use crate::pool::{ChunkCursor, WorkerPool};
+use crate::pool::{build_bounds, ChunkCursor, ClaimTally, WorkerPool};
 use crate::service::{admit_sources, RequestError};
-use crate::tile::{build_frontier_tiles, build_tile_bounds, build_weighted_bounds, ClaimTally, EdgeTile};
 use crate::word::{
     AtomicStatus, AtomicW128, AtomicW256, AtomicW32, AtomicW64, StatusWord, WordWidth,
 };
 use ibfs_graph::reorder::{ReorderKind, VertexPerm};
-use ibfs_graph::tiling::TilePlan;
 use ibfs_graph::{Csr, Depth, VertexId, DEPTH_UNVISITED};
 use ibfs_obs::{EngineProfiler, ProfPhase};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -177,45 +163,6 @@ pub const REORDER_SEED: u64 = 42;
 /// O(n/64) bitmap scan would dominate the level itself.
 pub const DENSE_FRONTIER_DIV: usize = 16;
 
-/// The CPU hot path to run a group through.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CpuEngine {
-    /// PR 5 level-synchronous engine: vertex-granular work stealing.
-    #[default]
-    Pooled,
-    /// Level-synchronous with edge-tiled top-down frontiers (SyncTile).
-    Tiled,
-    /// Asynchronous label-correcting FIFO, no level barrier (Async).
-    Async,
-}
-
-impl CpuEngine {
-    /// Stable lowercase name, used by the CLI and bench reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            CpuEngine::Pooled => "pooled",
-            CpuEngine::Tiled => "tiled",
-            CpuEngine::Async => "async",
-        }
-    }
-
-    /// Parses a [`CpuEngine::name`] string.
-    pub fn parse(s: &str) -> Option<CpuEngine> {
-        CpuEngine::all().into_iter().find(|e| e.name() == s)
-    }
-
-    /// Every engine, in name order of the CLI help.
-    pub fn all() -> [CpuEngine; 3] {
-        [CpuEngine::Pooled, CpuEngine::Tiled, CpuEngine::Async]
-    }
-}
-
-impl std::fmt::Display for CpuEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Worker threads to use when a config says `0`.
 pub fn available_threads() -> usize {
     std::thread::available_parallelism()
@@ -263,15 +210,9 @@ pub struct CpuOptions {
     pub max_levels: u32,
     /// Status-word width (group capacity).
     pub width: WordWidth,
-    /// iBFS bottom-up early termination.
-    pub early_termination: bool,
-    /// MS-BFS per-level visit-map maintenance sweep.
-    pub per_level_reset: bool,
-    /// Which hot path serves groups.
-    pub engine: CpuEngine,
-    /// Edge-tile size for [`CpuEngine::Tiled`] / [`CpuEngine::Async`];
-    /// 0 = autotune from the degree histogram at service build.
-    pub tile_size: usize,
+    /// MS-BFS semantics instead of iBFS: no bottom-up early termination,
+    /// plus the per-level visit-map maintenance sweep.
+    pub msbfs: bool,
     /// Vertex reordering applied once at service build: the CSR is
     /// relabeled for locality, sources map in at [`CpuService::run_group`]
     /// and depths map back out, so results are bit-identical to the
@@ -291,10 +232,7 @@ impl Default for CpuOptions {
             threads: 0,
             max_levels: 0,
             width: WordWidth::default(),
-            early_termination: true,
-            per_level_reset: false,
-            engine: CpuEngine::Pooled,
-            tile_size: 0,
+            msbfs: false,
             reorder: ReorderKind::None,
             adaptive: false,
         }
@@ -312,10 +250,6 @@ pub struct CpuIbfs {
     pub max_levels: u32,
     /// Status-word width (group capacity).
     pub width: WordWidth,
-    /// Hot path: pooled (default), tiled, or async.
-    pub engine: CpuEngine,
-    /// Edge-tile size; 0 = autotune.
-    pub tile_size: usize,
     /// Vertex reordering applied at service build.
     pub reorder: ReorderKind,
     /// Online α/β direction autotuning.
@@ -331,10 +265,7 @@ impl CpuIbfs {
             threads: self.threads,
             max_levels: self.max_levels,
             width: self.width,
-            early_termination: true,
-            per_level_reset: false,
-            engine: self.engine,
-            tile_size: self.tile_size,
+            msbfs: false,
             reorder: self.reorder,
             adaptive: self.adaptive,
         })
@@ -375,12 +306,9 @@ impl CpuMsBfs {
             threads: self.threads,
             max_levels: self.max_levels,
             width: self.width,
-            early_termination: false,
-            per_level_reset: true,
-            // MS-BFS is the fixed level-synchronous baseline of Figure 22;
-            // it never runs tiled, async, reordered, or adaptive.
-            engine: CpuEngine::Pooled,
-            tile_size: 0,
+            // MS-BFS is the fixed baseline of Figure 22; it never runs
+            // reordered or adaptive.
+            msbfs: true,
             reorder: ReorderKind::None,
             adaptive: false,
         })
@@ -415,18 +343,10 @@ pub struct CpuStats {
     pub td_chunks: u64,
     /// Degree-balanced steal chunks claimed in bottom-up phases.
     pub bu_chunks: u64,
-    /// Edge tiles built for tiled top-down phases.
-    pub tiles_built: u64,
-    /// Frontier vertices whose edge list split into more than one tile.
-    pub tile_split_vertices: u64,
     /// Sum over traversal phases of the busiest lane's steal-chunk claims.
     /// With `td_chunks + bu_chunks` this yields the steal-balance ratio
     /// (`max_lane * threads / total`, 1.0 = perfectly even).
     pub steal_max_chunks: u64,
-    /// FIFO items processed by the async engine.
-    pub async_items: u64,
-    /// Successful CAS-min depth relaxations in the async engine.
-    pub async_relaxed: u64,
     /// Levels whose frontier was normalized through the dense bitmap.
     pub dense_levels: u64,
     /// Levels that kept the sparse lane-order queue.
@@ -518,11 +438,8 @@ struct Scratch {
     ever_list: Vec<u32>,
     queue: Vec<VertexId>,
     next_queue: Vec<VertexId>,
-    /// Degree-balanced steal-chunk boundaries into `queue` (or, in tiled
-    /// top-down phases, into `tiles`).
+    /// Degree-balanced steal-chunk boundaries into `queue`.
     bounds: Vec<(u32, u32)>,
-    /// Tiled top-down work list, rebuilt per level from `queue`.
-    tiles: Vec<EdgeTile>,
     cursor: ChunkCursor,
     /// Per-lane claim counts for the steal-balance metric.
     tally: ClaimTally,
@@ -546,7 +463,6 @@ impl Scratch {
             queue: Vec::new(),
             next_queue: Vec::new(),
             bounds: Vec::new(),
-            tiles: Vec::new(),
             cursor: ChunkCursor::default(),
             tally: ClaimTally::new(threads),
             bitmap: Vec::new(),
@@ -573,24 +489,6 @@ impl DepthTable {
     unsafe fn set(&self, idx: usize, d: Depth) {
         unsafe { *self.0.add(idx) = d };
     }
-}
-
-/// Splits `queue` into degree-balanced contiguous chunks (weight
-/// `deg(v) + 1`), appended to `bounds` as `(start, end)` index pairs.
-fn build_bounds(
-    queue: &[VertexId],
-    deg: impl Fn(VertexId) -> u64,
-    threads: usize,
-    chunks_per_lane: usize,
-    bounds: &mut Vec<(u32, u32)>,
-) {
-    build_weighted_bounds(
-        queue.len(),
-        |i| deg(queue[i]) + 1,
-        threads,
-        chunks_per_lane,
-        bounds,
-    );
 }
 
 /// Picks the steal-chunk count per lane from the degree histogram: the
@@ -632,9 +530,6 @@ pub struct CpuService<'g> {
     arena: ArenaAny,
     scratch: Scratch,
     stats: CpuStats,
-    /// The edge-tiling policy: explicit [`CpuOptions::tile_size`] or
-    /// autotuned from the degree histogram at construction.
-    plan: TilePlan,
     /// Steal chunks per lane, autotuned from degree skew.
     chunks_per_lane: usize,
     /// When set, every phase of every level records per-lane
@@ -663,18 +558,12 @@ impl<'g> CpuService<'g> {
         // Relabel once at build: every group then runs in permuted space
         // against the relabeled CSR pair; the borrowed originals stay the
         // admission and result space. Degrees are permutation-invariant,
-        // so the tile plan and steal-chunk autotuners see the same
-        // histogram either way.
+        // so the steal-chunk autotuner sees the same histogram either way.
         let reordered = VertexPerm::build(opts.reorder, csr, REORDER_SEED).map(|perm| {
             let rcsr = perm.apply(csr);
             let rrev = rcsr.reverse();
             Box::new(Reordered { csr: rcsr, rev: rrev, perm })
         });
-        let plan = if opts.tile_size > 0 {
-            TilePlan::uniform(opts.tile_size)
-        } else {
-            TilePlan::autotune(csr)
-        };
         CpuService {
             csr,
             rev,
@@ -683,7 +572,6 @@ impl<'g> CpuService<'g> {
             arena,
             scratch: Scratch::new(n, opts.threads),
             stats: CpuStats::default(),
-            plan,
             chunks_per_lane: autotune_chunks_per_lane(csr),
             profiler: None,
             reordered,
@@ -695,11 +583,6 @@ impl<'g> CpuService<'g> {
     /// per-level phase timings (and synthesized barrier waits) into it.
     pub fn set_profiler(&mut self, profiler: Arc<EngineProfiler>) {
         self.profiler = Some(profiler);
-    }
-
-    /// The resolved tiling policy (explicit or autotuned).
-    pub fn tile_plan(&self) -> &TilePlan {
-        &self.plan
     }
 
     /// The resolved steal-chunk count per lane.
@@ -744,12 +627,6 @@ impl<'g> CpuService<'g> {
         registry.counter("ibfs_cpu_steal_chunks_total").add(s.stats.td_chunks + s.stats.bu_chunks);
         registry.counter("ibfs_cpu_pool_phases_total").add(s.pool_phases);
         registry.gauge("ibfs_cpu_pool_threads").set(s.pool_threads as f64);
-        // Round-2 families: tiling, steal balance, async progress.
-        registry.gauge("ibfs_cpu_tile_size").set(self.plan.tile_size() as f64);
-        registry.counter("ibfs_cpu_tile_built_total").add(s.stats.tiles_built);
-        registry
-            .counter("ibfs_cpu_tile_split_vertices_total")
-            .add(s.stats.tile_split_vertices);
         let total_chunks = s.stats.td_chunks + s.stats.bu_chunks;
         // Balance ratio: busiest lane's share of claims vs a perfectly even
         // split. 1.0 = even; `threads` = one lane claimed everything.
@@ -759,8 +636,6 @@ impl<'g> CpuService<'g> {
             0.0
         };
         registry.gauge("ibfs_cpu_steal_balance").set(balance);
-        registry.counter("ibfs_cpu_async_items_total").add(s.stats.async_items);
-        registry.counter("ibfs_cpu_async_relaxed_total").add(s.stats.async_relaxed);
         // Round-3 families: locality (reordering, frontier rep) and the
         // adaptive direction tuner.
         registry
@@ -829,19 +704,13 @@ impl<'g> CpuService<'g> {
         let pool = &self.pool;
         let stats = &mut self.stats;
         let tuner_before = (stats.td_micros, stats.td_chunks, stats.bu_micros, stats.bu_chunks);
-        let mut run = if opts.engine == CpuEngine::Async {
-            // The async engine owns its depth words; the arena and the
-            // level-loop scratch never come into play.
-            crate::asyncq::run_async(csr, &opts, pool, &self.plan, stats, prof, run_sources)
-        } else {
-            let scratch = &mut self.scratch;
-            let cx = RunCx { plan: &self.plan, chunks_per_lane: self.chunks_per_lane, prof };
-            match &self.arena {
-                ArenaAny::W32(a) => run_width(csr, rev, opts, pool, a, scratch, stats, cx, run_sources),
-                ArenaAny::W64(a) => run_width(csr, rev, opts, pool, a, scratch, stats, cx, run_sources),
-                ArenaAny::W128(a) => run_width(csr, rev, opts, pool, a, scratch, stats, cx, run_sources),
-                ArenaAny::W256(a) => run_width(csr, rev, opts, pool, a, scratch, stats, cx, run_sources),
-            }
+        let scratch = &mut self.scratch;
+        let cx = RunCx { chunks_per_lane: self.chunks_per_lane, prof };
+        let mut run = match &self.arena {
+            ArenaAny::W32(a) => run_width(csr, rev, opts, pool, a, scratch, stats, cx, run_sources),
+            ArenaAny::W64(a) => run_width(csr, rev, opts, pool, a, scratch, stats, cx, run_sources),
+            ArenaAny::W128(a) => run_width(csr, rev, opts, pool, a, scratch, stats, cx, run_sources),
+            ArenaAny::W256(a) => run_width(csr, rev, opts, pool, a, scratch, stats, cx, run_sources),
         };
         if let Some(r) = &self.reordered {
             map_depths_out(&mut run, &r.perm, pool, &self.scratch.cursor, prof, map_track);
@@ -929,7 +798,6 @@ fn map_depths_out(
 /// Autotuned per-service parameters threaded into the level loop.
 #[derive(Clone, Copy)]
 struct RunCx<'p> {
-    plan: &'p TilePlan,
     chunks_per_lane: usize,
     /// Optional phase profiler (None costs one branch per phase).
     prof: Option<&'p EngineProfiler>,
@@ -970,7 +838,6 @@ fn run_width<A: AtomicStatus>(
     let full = A::Word::low_mask(ni as u32);
     let threads = pool.threads();
     let chunks_per_lane = cx.chunks_per_lane;
-    let tiled = opts.engine == CpuEngine::Tiled;
 
     let start = Instant::now();
     // One timeline track (Chrome `pid`) per group run.
@@ -1044,7 +911,7 @@ fn run_width<A: AtomicStatus>(
             stats.sparse_levels += 1;
         }
         let depth = level as Depth;
-        if opts.per_level_reset {
+        if opts.msbfs {
             // MS-BFS maintains an extra visit map each level: model the
             // cost with one more full sweep over the words, on the pool
             // (the baseline paid a thread-spawn wave on top of this sweep;
@@ -1069,49 +936,6 @@ fn run_width<A: AtomicStatus>(
         // Traversal: degree-balanced steal chunks over the frontier.
         let traversal_start = Instant::now();
         match direction {
-            Direction::TopDown if tiled => {
-                // Tiled: expand the frontier into edge tiles so a hub's
-                // list spreads across lanes, then balance over tiles. The
-                // OR-relaxation is order-free, so this produces exactly
-                // the pooled engine's updates.
-                let split = build_frontier_tiles(
-                    &scratch.queue,
-                    |v| csr.out_degree(v),
-                    cx.plan,
-                    &mut scratch.tiles,
-                );
-                build_tile_bounds(&scratch.tiles, threads, chunks_per_lane, &mut scratch.bounds);
-                scratch.cursor.reset();
-                stats.td_chunks += scratch.bounds.len() as u64;
-                stats.tiles_built += scratch.tiles.len() as u64;
-                stats.tile_split_vertices += split;
-                let (tiles, bounds, cursor, tally) =
-                    (&scratch.tiles, &scratch.bounds, &scratch.cursor, &scratch.tally);
-                let changed = &scratch.changed;
-                pool.run_profiled(cx.prof, track, level as u64, ProfPhase::TopDownExpand, |lane| {
-                    let changed = &changed[lane][..];
-                    while let Some(bi) = tally.claim(cursor, bounds.len(), lane) {
-                        let (lo, hi) = bounds[bi];
-                        for t in &tiles[lo as usize..hi as usize] {
-                            let mask = cur[t.v as usize].load();
-                            for &w in &csr.neighbors(t.v)[t.lo as usize..t.hi as usize] {
-                                let wi = w as usize;
-                                let old = next[wi].load();
-                                if !mask.and(old.not()).is_zero() {
-                                    let prev = next[wi].fetch_or(mask);
-                                    if !mask.and(prev.not()).is_zero() {
-                                        mark(changed, wi);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    let hits = tally.lane_count(lane);
-                    (hits, hits + 1)
-                });
-                let (mx, _total) = scratch.tally.drain();
-                stats.steal_max_chunks += mx;
-            }
             Direction::TopDown => {
                 build_bounds(
                     &scratch.queue,
@@ -1150,9 +974,6 @@ fn run_width<A: AtomicStatus>(
                 stats.steal_max_chunks += mx;
             }
             Direction::BottomUp => {
-                // Bottom-up stays vertex-granular in every engine: the
-                // accumulate-then-store below relies on a single writer
-                // per frontier word, which edge tiles would break.
                 build_bounds(
                     &scratch.queue,
                     |v| rev.out_degree(v) as u64,
@@ -1165,7 +986,7 @@ fn run_width<A: AtomicStatus>(
                 let (queue, bounds, cursor, tally) =
                     (&scratch.queue, &scratch.bounds, &scratch.cursor, &scratch.tally);
                 let (changed, lanes) = (&scratch.changed, &scratch.lanes);
-                let early = opts.early_termination;
+                let early = !opts.msbfs;
                 pool.run_profiled(cx.prof, track, level as u64, ProfPhase::BottomUpSweep, |lane| {
                     let changed = &changed[lane][..];
                     let mut st = lanes[lane].lock().unwrap();
@@ -1438,16 +1259,6 @@ fn run_width<A: AtomicStatus>(
     }
 }
 
-/// Runs a whole source set on the CPU in groups of `group_size`, returning
-/// per-group results. Used by the Figure 22 / Table 1 harnesses.
-pub fn run_cpu_many<F>(sources: &[VertexId], group_size: usize, run: F) -> Vec<CpuRun>
-where
-    F: FnMut(&[VertexId]) -> CpuRun,
-{
-    assert!((1..=CPU_GROUP).contains(&group_size));
-    sources.chunks(group_size).map(run).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1648,7 +1459,7 @@ mod tests {
         let r = g.reverse();
         let sources: Vec<VertexId> = (0..40).collect();
         let mut svc = CpuIbfs::default().service(&g, &r);
-        let runs = run_cpu_many(&sources, 16, |group| svc.run_group(group).unwrap());
+        let runs: Vec<CpuRun> = sources.chunks(16).map(|group| svc.run_group(group).unwrap()).collect();
         assert_eq!(runs.len(), 3);
         assert_eq!(runs.iter().map(|r| r.num_instances).sum::<usize>(), 40);
         assert_eq!(runs[0].instance_depths(5), &reference_bfs(&g, 5)[..]);
@@ -1717,11 +1528,13 @@ mod tests {
         let g = rmat(8, 8, RmatParams::graph500(), 3);
         let r = g.reverse();
         let mut svc = CpuMsBfs { threads: 2, ..Default::default() }.service(&g, &r);
+        assert!(svc.chunks_per_lane() >= STEAL_CHUNKS_PER_LANE);
         svc.run_group(&[0, 1, 2]).unwrap();
         let s = svc.stats();
         assert!(s.stats.levels > 0);
         assert!(s.stats.chunks_touched > 0);
         assert!(s.stats.full_sweeps > 0, "MS-BFS mode sweeps every level");
+        assert!(s.stats.steal_max_chunks > 0);
         assert_eq!(s.pool_threads, 2);
         let registry = ibfs_obs::Registry::new();
         svc.record_metrics(&registry);
@@ -1729,84 +1542,7 @@ mod tests {
         assert_eq!(snap.counter("ibfs_cpu_groups_total"), Some(1));
         assert_eq!(snap.counter("ibfs_cpu_levels_total"), Some(s.stats.levels));
         assert_eq!(snap.counter("ibfs_cpu_pool_phases_total"), Some(s.pool_phases));
-    }
-
-    #[test]
-    fn build_bounds_covers_queue_exactly() {
-        let queue: Vec<VertexId> = (0..100).collect();
-        let mut bounds = Vec::new();
-        build_bounds(&queue, |v| (v % 7) as u64, 4, STEAL_CHUNKS_PER_LANE, &mut bounds);
-        assert!(bounds.len() > 1);
-        let mut expected = 0u32;
-        for &(lo, hi) in &bounds {
-            assert_eq!(lo, expected);
-            assert!(hi > lo);
-            expected = hi;
-        }
-        assert_eq!(expected as usize, queue.len());
-        // Single lane: one chunk, no balancing pass.
-        build_bounds(&queue, |_| 1, 1, STEAL_CHUNKS_PER_LANE, &mut bounds);
-        assert_eq!(bounds, vec![(0, 100)]);
-        build_bounds(&[], |_| 1, 4, STEAL_CHUNKS_PER_LANE, &mut bounds);
-        assert!(bounds.is_empty());
-    }
-
-    #[test]
-    fn tiled_engine_matches_pooled_bit_for_bit() {
-        let g = rmat(9, 8, RmatParams::graph500(), 19);
-        let r = g.reverse();
-        let sources: Vec<VertexId> = (0..48).collect();
-        let pooled = CpuIbfs { threads: 3, ..Default::default() }
-            .run_group(&g, &r, &sources)
-            .unwrap();
-        for tile_size in [16, 256] {
-            let tiled = CpuIbfs {
-                threads: 3,
-                engine: CpuEngine::Tiled,
-                tile_size,
-                ..Default::default()
-            }
-            .run_group(&g, &r, &sources)
-            .unwrap();
-            assert_eq!(tiled.depths, pooled.depths, "tile_size {tile_size}");
-            assert_eq!(tiled.traversed_edges, pooled.traversed_edges);
-        }
-    }
-
-    #[test]
-    fn tiled_service_reports_tiling_stats_and_metrics() {
-        let g = rmat(9, 8, RmatParams::graph500(), 7);
-        let r = g.reverse();
-        let mut svc = CpuIbfs {
-            threads: 2,
-            engine: CpuEngine::Tiled,
-            tile_size: 16,
-            ..Default::default()
-        }
-        .service(&g, &r);
-        assert_eq!(svc.tile_plan().tile_size(), 16);
-        svc.run_group(&[0, 1, 2, 3]).unwrap();
-        let s = svc.stats().stats;
-        assert!(s.tiles_built > 0);
-        assert!(s.tile_split_vertices > 0, "an R-MAT frontier must split hubs");
-        assert!(s.steal_max_chunks > 0);
-        let registry = ibfs_obs::Registry::new();
-        svc.record_metrics(&registry);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("ibfs_cpu_tile_built_total"), Some(s.tiles_built));
-        assert_eq!(snap.gauge("ibfs_cpu_tile_size"), Some(16.0));
         assert!(snap.gauge("ibfs_cpu_steal_balance").unwrap() >= 1.0);
-    }
-
-    #[test]
-    fn autotuned_plan_is_used_when_tile_size_is_zero() {
-        let g = rmat(8, 8, RmatParams::graph500(), 3);
-        let r = g.reverse();
-        let svc = CpuIbfs { engine: CpuEngine::Tiled, threads: 2, ..Default::default() }
-            .service(&g, &r);
-        let plan = *svc.tile_plan();
-        assert_eq!(plan, ibfs_graph::tiling::TilePlan::autotune(&g));
-        assert!(svc.chunks_per_lane() >= STEAL_CHUNKS_PER_LANE);
     }
 
     #[test]
@@ -1931,14 +1667,5 @@ mod tests {
         let phases = report.phases();
         assert!(phases.contains(&ProfPhase::MapIn), "MapIn missing: {phases:?}");
         assert!(phases.contains(&ProfPhase::MapOut), "MapOut missing: {phases:?}");
-    }
-
-    #[test]
-    fn engine_names_round_trip() {
-        for e in CpuEngine::all() {
-            assert_eq!(CpuEngine::parse(e.name()), Some(e));
-            assert_eq!(e.to_string(), e.name());
-        }
-        assert_eq!(CpuEngine::parse("warp"), None);
     }
 }

@@ -33,7 +33,6 @@
 //! assert_eq!(run.depth_of(0, 8), 3);
 //! ```
 
-pub mod asyncq;
 pub mod bitwise;
 pub mod cpu;
 pub mod cpu_baseline;
@@ -53,11 +52,10 @@ pub mod sharing;
 pub mod spmm;
 pub mod sssp;
 pub mod status;
-pub mod tile;
 pub mod trace;
 pub mod word;
 
-pub use cpu::{CpuEngine, CpuIbfs, CpuMsBfs, CpuOptions, CpuRun, CpuService, CPU_GROUP};
+pub use cpu::{CpuIbfs, CpuMsBfs, CpuOptions, CpuRun, CpuService, CPU_GROUP};
 pub use driver::{LevelDriver, LevelEngine};
 pub use engine::{Engine, EngineKind, GpuGraph, GroupRun};
 pub use groupby::{GroupByConfig, Grouping, GroupingStrategy};

@@ -20,6 +20,7 @@
 //! [`WorkerPool::run`] resume the first caught panic on the caller. The
 //! workers survive and serve the next phase.
 
+use ibfs_graph::VertexId;
 use ibfs_obs::{EngineProfiler, ProfPhase};
 use std::any::Any;
 use std::cell::Cell;
@@ -298,6 +299,86 @@ impl ChunkCursor {
     }
 }
 
+/// Splits `queue` into contiguous steal chunks of near-equal total weight,
+/// weighting vertex `v` by `deg(v) + 1`, appended to `bounds` (cleared
+/// first) as `(start, end)` index pairs. Aims for roughly
+/// `threads * chunks_per_lane` chunks, so a lane stuck on a heavy chunk
+/// simply claims fewer of them through the [`ChunkCursor`]. A single lane
+/// gets one chunk and no balancing pass.
+pub fn build_bounds(
+    queue: &[VertexId],
+    deg: impl Fn(VertexId) -> u64,
+    threads: usize,
+    chunks_per_lane: usize,
+    bounds: &mut Vec<(u32, u32)>,
+) {
+    bounds.clear();
+    let len = queue.len();
+    if len == 0 {
+        return;
+    }
+    if threads == 1 {
+        bounds.push((0, len as u32));
+        return;
+    }
+    let weight = |i: usize| deg(queue[i]) + 1;
+    let chunk_goal = (threads * chunks_per_lane).max(1) as u64;
+    let total: u64 = (0..len).map(weight).sum();
+    let target = total.div_ceil(chunk_goal).max(1);
+    let mut start = 0u32;
+    let mut acc = 0u64;
+    for i in 0..len {
+        acc += weight(i);
+        if acc >= target {
+            bounds.push((start, i as u32 + 1));
+            start = i as u32 + 1;
+            acc = 0;
+        }
+    }
+    if (start as usize) < len {
+        bounds.push((start, len as u32));
+    }
+}
+
+/// Per-lane claim counters for the steal-balance metric: `claims[lane]`
+/// counts chunks this lane won from the shared cursor during one phase.
+pub struct ClaimTally(Vec<AtomicU64>);
+
+impl ClaimTally {
+    /// A tally for `threads` lanes.
+    pub fn new(threads: usize) -> Self {
+        ClaimTally((0..threads).map(|_| AtomicU64::new(0)).collect())
+    }
+
+    /// Claims the next chunk from `cursor`, attributing it to `lane`.
+    #[inline]
+    pub fn claim(&self, cursor: &ChunkCursor, limit: usize, lane: usize) -> Option<usize> {
+        let i = cursor.claim(limit)?;
+        self.0[lane].fetch_add(1, Ordering::Relaxed);
+        Some(i)
+    }
+
+    /// `lane`'s claim count so far this phase (read by the profiler hooks
+    /// at the end of a lane's body, before the coordinator drains).
+    #[inline]
+    pub fn lane_count(&self, lane: usize) -> u64 {
+        self.0[lane].load(Ordering::Relaxed)
+    }
+
+    /// Drains the tally, returning `(max_per_lane, total)` and resetting
+    /// every counter to zero.
+    pub fn drain(&self) -> (u64, u64) {
+        let mut max = 0u64;
+        let mut total = 0u64;
+        for c in &self.0 {
+            let v = c.swap(0, Ordering::Relaxed);
+            max = max.max(v);
+            total += v;
+        }
+        (max, total)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,6 +479,45 @@ mod tests {
         assert_eq!(cursor.claim(6), Some(5));
         assert_eq!(cursor.claim(6), None);
         assert_eq!(cursor.claim(6), None);
+    }
+
+    #[test]
+    fn bounds_partition_the_queue_and_isolate_a_hub() {
+        let queue: Vec<VertexId> = (0..100).collect();
+        let mut bounds = Vec::new();
+        // Mild skew, then a hub-shaped profile: one huge vertex among many
+        // tiny ones.
+        let hub = |v: VertexId| if v == 10 { 999 } else { 0 };
+        for deg in [|v: VertexId| (v % 7) as u64, hub] {
+            build_bounds(&queue, deg, 4, 8, &mut bounds);
+            assert!(bounds.len() > 1);
+            let mut expected = 0u32;
+            for &(lo, hi) in &bounds {
+                assert_eq!(lo, expected);
+                assert!(hi > lo);
+                expected = hi;
+            }
+            assert_eq!(expected, 100);
+        }
+        // The hub lands in a chunk of its own.
+        let hub_chunk = bounds.iter().find(|&&(lo, hi)| lo <= 10 && 10 < hi).unwrap();
+        assert!(hub_chunk.1 - hub_chunk.0 <= 11);
+        // One lane: a single chunk, no balancing pass.
+        build_bounds(&queue, hub, 1, 8, &mut bounds);
+        assert_eq!(bounds, vec![(0, 100)]);
+        build_bounds(&[], hub, 4, 8, &mut bounds);
+        assert!(bounds.is_empty());
+    }
+
+    #[test]
+    fn claim_tally_tracks_max_and_total() {
+        let tally = ClaimTally::new(3);
+        let cursor = ChunkCursor::default();
+        while tally.claim(&cursor, 5, 0).is_some() {}
+        assert_eq!(tally.claim(&cursor, 5, 1), None);
+        assert_eq!(tally.drain(), (5, 5));
+        // Drained: counters reset.
+        assert_eq!(tally.drain(), (0, 0));
     }
 
     /// Runs a phase on a 3-lane pool in which lane `failing` panics once

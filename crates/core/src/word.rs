@@ -233,7 +233,7 @@ impl StatusWord for W256 {
     }
 }
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// A [`StatusWord`] width selectable at run time (CLI `--width`, bench
 /// configs). Each variant names the register type §6 maps it to.
@@ -439,56 +439,6 @@ impl AtomicStatus for AtomicW256 {
     }
 }
 
-/// One `AtomicU8` depth cell for the asynchronous label-correcting engine.
-///
-/// The status lanes above are monotone-*set* (bits only ever turn on); the
-/// async engine's per-`(instance, vertex)` depth words are monotone
-/// *decreasing* instead — a cell starts at the unvisited sentinel and is
-/// only ever lowered, through [`AtomicDepth::relax_to`]'s CAS-min (the
-/// parlay `multi_BFS` compare-exchange idiom). That monotonicity is what
-/// makes relaxed ordering sound here: any stale read over-estimates the
-/// depth, and an over-estimate only ever causes a retry, never a wrong
-/// final value.
-pub struct AtomicDepth(AtomicU8);
-
-impl AtomicDepth {
-    /// A cell holding the unvisited sentinel (`u8::MAX`).
-    pub fn unvisited() -> Self {
-        AtomicDepth(AtomicU8::new(u8::MAX))
-    }
-
-    /// Loads the current depth.
-    #[inline]
-    pub fn load(&self) -> u8 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Stores `d` unconditionally (initialization only — concurrent
-    /// writers must go through [`AtomicDepth::relax_to`]).
-    #[inline]
-    pub fn store(&self, d: u8) {
-        self.0.store(d, Ordering::Relaxed);
-    }
-
-    /// CAS-min: lowers the cell to `d` if `d` is strictly smaller than the
-    /// current value. Returns `true` when this call won the lowering —
-    /// the caller then owns re-enqueueing the vertex.
-    #[inline]
-    pub fn relax_to(&self, d: u8) -> bool {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        while d < cur {
-            match self
-                .0
-                .compare_exchange_weak(cur, d, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return true,
-                Err(seen) => cur = seen,
-            }
-        }
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,39 +541,6 @@ mod tests {
         }
         assert_eq!(WordWidth::parse("48"), None);
         assert_eq!(WordWidth::default().bits(), 64);
-    }
-
-    #[test]
-    fn atomic_depth_only_ever_decreases() {
-        let c = AtomicDepth::unvisited();
-        assert_eq!(c.load(), u8::MAX);
-        assert!(c.relax_to(9));
-        assert_eq!(c.load(), 9);
-        // Raising is refused, equal is refused, lowering wins.
-        assert!(!c.relax_to(10));
-        assert!(!c.relax_to(9));
-        assert_eq!(c.load(), 9);
-        assert!(c.relax_to(2));
-        assert_eq!(c.load(), 2);
-    }
-
-    #[test]
-    fn atomic_depth_concurrent_relax_settles_at_min() {
-        let cells: Vec<AtomicDepth> = (0..64).map(|_| AtomicDepth::unvisited()).collect();
-        std::thread::scope(|s| {
-            for t in 0..4u8 {
-                let cells = &cells;
-                s.spawn(move || {
-                    for (i, c) in cells.iter().enumerate() {
-                        c.relax_to((i as u8).wrapping_add(t) % 32 + t);
-                    }
-                });
-            }
-        });
-        for (i, c) in cells.iter().enumerate() {
-            let want = (0..4u8).map(|t| (i as u8).wrapping_add(t) % 32 + t).min().unwrap();
-            assert_eq!(c.load(), want);
-        }
     }
 
     #[test]

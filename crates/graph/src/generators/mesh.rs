@@ -1,10 +1,12 @@
 //! Regular mesh generators — DIMACS-style high-diameter graphs.
 //!
-//! The sync-vs-async crossover (Galois' BFS README; Buluç & Madduri,
-//! arXiv:1104.4518) shows up on high-diameter, low-degree inputs like road
-//! networks, where per-level barriers dominate: a level-synchronous engine
-//! pays one barrier per BFS level and a 2D mesh has O(√n) levels. These
-//! generators produce deterministic stand-ins for that graph class.
+//! High-diameter, low-degree inputs like road networks are where per-level
+//! costs dominate: a level-synchronous engine pays one barrier per BFS
+//! level and a 2D mesh has O(√n) levels. Galois' BFS README and Buluç &
+//! Madduri (arXiv:1104.4518) expect barrier-free engines to win there; the
+//! benchmark's `batch-mesh` workload measured ours losing (DESIGN.md, *CPU
+//! engine round 2*). These generators produce deterministic stand-ins for
+//! that graph class.
 
 use crate::{Csr, CsrBuilder, VertexId};
 

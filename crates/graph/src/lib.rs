@@ -26,7 +26,6 @@ pub mod io;
 pub mod partition;
 pub mod reorder;
 pub mod suite;
-pub mod tiling;
 pub mod validate;
 pub mod weighted;
 

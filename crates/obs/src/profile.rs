@@ -19,8 +19,7 @@
 //! sweeps, cleanup), synchronization ([`ProfPhase::BarrierWait`] records
 //! are *synthesized* — for every lane, phase wall time minus that lane's
 //! body time), work stealing (chunk claims from `ChunkCursor`/`ClaimTally`
-//! as counts on the traversal records), the async engine's FIFO drain, the
-//! sharded exchange (encode / exchange / apply, with bytes and messages),
+//! as counts on the traversal records), the sharded exchange (encode / exchange / apply, with bytes and messages),
 //! and serve-batch dispatch.
 //!
 //! The [`ProfileReport`] JSON document is versioned
@@ -46,8 +45,8 @@ pub const PROFILE_SCHEMA_VERSION: u64 = 1;
 /// listed per variant (0 when a phase has nothing to count).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ProfPhase {
-    /// Top-down frontier expansion (tiled or queue-walk). Counters:
-    /// chunks/tiles claimed by this lane, total claims this phase.
+    /// Top-down frontier expansion. Counters: steal chunks claimed by this
+    /// lane, total claims this phase.
     TopDownExpand,
     /// Bottom-up unvisited sweep. Counters: chunks claimed by this lane,
     /// total claims this phase.
@@ -60,9 +59,6 @@ pub enum ProfPhase {
     /// level loop's identification phase restores its status invariant
     /// itself. It stays because the benchmark package names it.
     Repair,
-    /// Async-engine FIFO drain. Counters: items drained, relaxed
-    /// (re-improved) items.
-    AsyncDrain,
     /// Per-level status reset / direction-switch full sweep.
     StatusSweep,
     /// Depth identification of newly visited vertices.
@@ -98,7 +94,6 @@ json_enum!(ProfPhase {
     BottomUpSweep,
     BarrierWait,
     Repair,
-    AsyncDrain,
     StatusSweep,
     Identify,
     QueueBuild,
@@ -114,12 +109,11 @@ json_enum!(ProfPhase {
 
 impl ProfPhase {
     /// Every phase, for eager metric registration and exhaustive tests.
-    pub const ALL: [ProfPhase; 16] = [
+    pub const ALL: [ProfPhase; 15] = [
         ProfPhase::TopDownExpand,
         ProfPhase::BottomUpSweep,
         ProfPhase::BarrierWait,
         ProfPhase::Repair,
-        ProfPhase::AsyncDrain,
         ProfPhase::StatusSweep,
         ProfPhase::Identify,
         ProfPhase::QueueBuild,
@@ -140,7 +134,6 @@ impl ProfPhase {
             ProfPhase::BottomUpSweep => "bottom_up_sweep",
             ProfPhase::BarrierWait => "barrier_wait",
             ProfPhase::Repair => "repair",
-            ProfPhase::AsyncDrain => "async_drain",
             ProfPhase::StatusSweep => "status_sweep",
             ProfPhase::Identify => "identify",
             ProfPhase::QueueBuild => "queue_build",
@@ -687,11 +680,11 @@ mod tests {
 
         let prof = EngineProfiler::new();
         let track = prof.open_track();
-        prof.record(track, 0, 0, ProfPhase::AsyncDrain, 0.0, 0.5, 10, 2);
+        prof.record(track, 0, 0, ProfPhase::Identify, 0.0, 0.5, 10, 2);
         prof.record_metrics(&reg);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("ibfs_prof_records_total"), Some(1));
-        assert!(snap.gauge(&prof_phase_gauge(ProfPhase::AsyncDrain)).unwrap() > 0.4);
+        assert!(snap.gauge(&prof_phase_gauge(ProfPhase::Identify)).unwrap() > 0.4);
     }
 
     #[test]

@@ -53,7 +53,7 @@ use crate::qos::{
     fair_bounded, Attach, Class, DedupTable, FairReceiver, FairSender, Lookup, QosPolicy,
     QuotaGuard, QuotaTable, ResultCache, TenantId,
 };
-use ibfs::cpu::{CpuEngine, CpuOptions, CpuService, CPU_GROUP};
+use ibfs::cpu::{CpuOptions, CpuService, CPU_GROUP};
 use ibfs::groupby::{GroupByConfig, GroupingStrategy};
 use ibfs::metrics::{batch_occupancy, event_sharing_degree, teps, BatchMetrics};
 use ibfs::runner::{device_group_bound, RunConfig};
@@ -155,16 +155,14 @@ pub struct ServeConfig {
     /// (one batch = one wave, capped at [`WAVE_WIDTH`]).
     pub sharding: Option<ShardedConfig>,
     /// When set (and `sharding` is not — sharding takes precedence), every
-    /// worker serves batches through a resident [`CpuService`] running the
-    /// configured round-2 CPU engine (`pooled`, `tiled` or `async`)
-    /// instead of a simulated-GPU [`IbfsService`]. Depths are bit-identical
-    /// to the GPU path for the level-synchronous engines and equal to the
-    /// reference BFS for all three; what changes is the time axis — CPU
-    /// batches report real wall-clock seconds where GPU batches report
-    /// simulated device time — and the metric families (`ibfs_cpu_*`
-    /// instead of kernel counters). The batch cap clamps to the engine's
-    /// group capacity, `min(CPU_GROUP, width.bits())`, not the §3 device
-    /// bound (see [`effective_max_batch`]).
+    /// worker serves batches through a resident [`CpuService`] instead of a
+    /// simulated-GPU [`IbfsService`]. Depths are bit-identical to the GPU
+    /// path; what changes is the time axis — CPU batches report real
+    /// wall-clock seconds where GPU batches report simulated device time —
+    /// and the metric families (`ibfs_cpu_*` instead of kernel counters).
+    /// The batch cap clamps to the engine's group capacity,
+    /// `min(CPU_GROUP, width.bits())`, not the §3 device bound (see
+    /// [`effective_max_batch`]).
     pub cpu: Option<CpuOptions>,
 }
 
@@ -895,8 +893,7 @@ fn dispatch_wave(
 
 /// What a worker runs batches through: one resident single-device service,
 /// one resident sharded service fanning each batch over all shards, or a
-/// resident multithreaded [`CpuService`] running one of the round-2 CPU
-/// engines. Every backend traverses a batch exactly once and returns
+/// resident multithreaded [`CpuService`]. Every backend traverses a batch exactly once and returns
 /// depths in global vertex order, so the response path below is shared.
 enum WorkerBackend<'g> {
     Single(IbfsService<'g>),
@@ -908,16 +905,6 @@ enum WorkerBackend<'g> {
         grouping: GroupingStrategy,
         graph: &'g Csr,
     },
-}
-
-/// Serve-layer label for CPU-backed batches, namespaced apart from the
-/// simulated-GPU engine names.
-fn cpu_engine_label(engine: CpuEngine) -> &'static str {
-    match engine {
-        CpuEngine::Pooled => "cpu-pooled",
-        CpuEngine::Tiled => "cpu-tiled",
-        CpuEngine::Async => "cpu-async",
-    }
 }
 
 /// The slice of a run the response path needs, identical across backends.
@@ -964,12 +951,11 @@ impl WorkerBackend<'_> {
                     traversed_edges: run.traversed_edges,
                 })
             }
-            // CPU engines emit no per-level trace events (the async engine
-            // has no levels at all), so the sink stays untouched; their
-            // `ibfs_cpu_*` counters reach the registry at worker exit.
+            // The CPU engine emits no per-level trace events, so the sink
+            // stays untouched; its `ibfs_cpu_*` counters reach the registry
+            // at worker exit.
             WorkerBackend::Cpu { svc, grouping, graph } => {
                 let plan = grouping.group(graph, sources);
-                let label = cpu_engine_label(svc.options().engine);
                 let mut groups = Vec::with_capacity(plan.groups.len());
                 let mut wall = 0.0f64;
                 let mut traversed = 0u64;
@@ -978,7 +964,9 @@ impl WorkerBackend<'_> {
                     wall += run.wall_seconds;
                     traversed += run.traversed_edges;
                     groups.push(ibfs::engine::GroupRun {
-                        engine: label,
+                        // Namespaced apart from the simulated-GPU engine
+                        // names.
+                        engine: "cpu-pooled",
                         num_instances: run.num_instances,
                         num_vertices: run.num_vertices,
                         depths: run.depths,
@@ -1443,38 +1431,28 @@ mod tests {
     }
 
     #[test]
-    fn cpu_backend_answers_correctly_for_every_engine() {
-        // The tentpole plumbing: each round-2 CPU engine serves batches
-        // behind the same front door, depths equal to the reference, and
-        // its ibfs_cpu_* families land in the final snapshot.
+    fn cpu_backend_answers_correctly() {
+        // The CPU engine serves batches behind the same front door, depths
+        // equal to the reference, and its ibfs_cpu_* families land in the
+        // final snapshot.
         let g = graph();
         let r = g.reverse();
-        for engine in CpuEngine::all() {
-            let config = ServeConfig {
-                cpu: Some(CpuOptions { engine, threads: 2, ..Default::default() }),
-                ..quick_config()
-            };
-            let (resps, report) = serve(&g, &r, config, |h| {
-                let tickets: Vec<_> = (0..10u32).map(|s| h.submit(s).unwrap()).collect();
-                tickets.into_iter().map(|t| t.wait().unwrap()).collect::<Vec<_>>()
-            });
-            for resp in &resps {
-                assert_eq!(resp.shards, 1, "{engine}");
-                assert_eq!(resp.depths, reference_bfs(&g, resp.source), "{engine}");
-            }
-            assert_eq!(report.completed, 10, "{engine}");
-            assert!(report.is_conserved(), "{engine}");
-            let groups = report.snapshot.counter("ibfs_cpu_groups_total");
-            assert!(groups.is_some_and(|v| v > 0), "{engine}: cpu groups: {groups:?}");
-            if engine == CpuEngine::Tiled {
-                let tiles = report.snapshot.counter("ibfs_cpu_tile_built_total");
-                assert!(tiles.is_some_and(|v| v > 0), "tiled serve built no tiles");
-            }
-            if engine == CpuEngine::Async {
-                let items = report.snapshot.counter("ibfs_cpu_async_items_total");
-                assert!(items.is_some_and(|v| v > 0), "async serve processed no items");
-            }
+        let config = ServeConfig {
+            cpu: Some(CpuOptions { threads: 2, ..Default::default() }),
+            ..quick_config()
+        };
+        let (resps, report) = serve(&g, &r, config, |h| {
+            let tickets: Vec<_> = (0..10u32).map(|s| h.submit(s).unwrap()).collect();
+            tickets.into_iter().map(|t| t.wait().unwrap()).collect::<Vec<_>>()
+        });
+        for resp in &resps {
+            assert_eq!(resp.shards, 1);
+            assert_eq!(resp.depths, reference_bfs(&g, resp.source));
         }
+        assert_eq!(report.completed, 10);
+        assert!(report.is_conserved());
+        let groups = report.snapshot.counter("ibfs_cpu_groups_total");
+        assert!(groups.is_some_and(|v| v > 0), "cpu groups: {groups:?}");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Differential tests pinning the pooled CPU engine to the frozen pre-pool
 //! implementation: bit-identical depths and `traversed_edges` across seeded
-//! suite graphs, thread counts {1, 3, 8}, every status-word width, and
-//! duplicate sources within a group — plus the no-per-level-spawn
-//! acceptance check.
+//! suite graphs (a hub-heavy one included), thread counts {1, 3, 8}, every
+//! status-word width, and duplicate sources within a group — plus the
+//! no-per-level-spawn acceptance check.
 
 use ibfs_repro::graph::generators::{
-    chung_lu, grid2d, powerlaw_weights, rmat, uniform_random, RmatParams,
+    chung_lu, grid2d, hub_heavy, powerlaw_weights, rmat, uniform_random, RmatParams,
 };
 use ibfs_repro::graph::validate::reference_bfs;
 use ibfs_repro::graph::{Csr, VertexId};
@@ -29,6 +29,9 @@ fn seeded_graphs() -> Vec<(String, Csr)> {
         // covers three, is not a multiple of 64, and its 90 levels change
         // vertices across chunk and change-bitmap word boundaries.
         ("mesh".to_string(), grid2d(45, 47)),
+        // Adversarial multigraph: one vertex owns >50% of all edges, so a
+        // single steal chunk holds most of a level's work.
+        ("hub".to_string(), hub_heavy(600, 5, 11)),
     ]
 }
 

@@ -17,22 +17,22 @@
 
 use ibfs_repro::graph::generators::{rmat, RmatParams};
 use ibfs_repro::graph::VertexId;
-use ibfs_repro::ibfs::cpu::{CpuEngine, CpuIbfs};
+use ibfs_repro::ibfs::cpu::CpuIbfs;
 use ibfs_repro::obs::{
     EngineProfiler, PhaseRecord, ProfPhase, ProfileReport, PROFILE_SCHEMA_VERSION,
 };
 use ibfs_repro::util::prop::Prop;
 use ibfs_repro::util::{FromJson, Json, ToJson};
 
-/// Runs a seeded R-MAT group through one profiled CPU engine and returns
+/// Runs a seeded R-MAT group through the profiled CPU engine and returns
 /// the frozen report.
-fn profiled_report(scale: u32, seed: u64, engine: CpuEngine, threads: usize) -> ProfileReport {
+fn profiled_report(scale: u32, seed: u64, threads: usize) -> ProfileReport {
     let g = rmat(scale, 8, RmatParams::graph500(), seed);
     let r = g.reverse();
     let prof = EngineProfiler::shared();
     let n = g.num_vertices() as VertexId;
     let sources: Vec<VertexId> = (0..16.min(n)).collect();
-    let mut svc = CpuIbfs { threads, engine, ..Default::default() }.service(&g, &r);
+    let mut svc = CpuIbfs { threads, ..Default::default() }.service(&g, &r);
     svc.set_profiler(prof.clone());
     svc.run_group(&sources).expect("profiled run");
     prof.report("profile-report-test")
@@ -40,7 +40,7 @@ fn profiled_report(scale: u32, seed: u64, engine: CpuEngine, threads: usize) -> 
 
 #[test]
 fn report_round_trips_through_json_exactly() {
-    let report = profiled_report(8, 7, CpuEngine::Pooled, 2);
+    let report = profiled_report(8, 7, 2);
     report.validate().expect("fresh report validates");
     assert!(!report.records.is_empty());
 
@@ -59,7 +59,7 @@ fn report_round_trips_through_json_exactly() {
 
 #[test]
 fn future_schema_versions_are_rejected() {
-    let report = profiled_report(7, 11, CpuEngine::Tiled, 2);
+    let report = profiled_report(7, 11, 2);
     let text = report.to_json().to_string_pretty();
     let newer = text.replacen(
         &format!("\"profile_version\": {PROFILE_SCHEMA_VERSION}"),
@@ -73,7 +73,7 @@ fn future_schema_versions_are_rejected() {
 
 #[test]
 fn validate_rejects_corrupt_documents() {
-    let good = profiled_report(7, 3, CpuEngine::Async, 2);
+    let good = profiled_report(7, 3, 2);
     good.validate().expect("baseline validates");
 
     let mut wrong_version = good.clone();
@@ -95,7 +95,7 @@ fn validate_rejects_corrupt_documents() {
 
 #[test]
 fn chrome_trace_is_loadable_and_mirrors_the_records() {
-    let report = profiled_report(8, 5, CpuEngine::Pooled, 2);
+    let report = profiled_report(8, 5, 2);
     let trace = report.to_chrome_trace();
     let Json::Arr(events) = Json::parse(&trace).expect("trace parses") else {
         panic!("chrome trace must be a JSON array");
@@ -184,16 +184,12 @@ fn lane_phase_seconds_account_for_the_phase_wall_clock() {
         let scale = rng.gen_range(7u64..10) as u32;
         let seed = rng.gen_range(0u64..1000);
         let threads = rng.gen_range(2u64..5) as usize;
-        let engine = match rng.gen_range(0u64..2) {
-            0 => CpuEngine::Pooled,
-            _ => CpuEngine::Tiled,
-        };
-        let report = profiled_report(scale, seed, engine, threads);
+        let report = profiled_report(scale, seed, threads);
         report.validate().expect("report validates");
         let groups = assert_barrier_accounting(&report);
         assert!(
             groups > 0,
-            "expected at least one multi-lane phase group ({engine:?}, {threads} threads)"
+            "expected at least one multi-lane phase group ({threads} threads)"
         );
         // The synthesized waits can never exceed the report's own span.
         let barrier = report.phase_seconds(ProfPhase::BarrierWait);

@@ -1,4 +1,4 @@
-//! Differential wall for vertex reordering: every CPU engine × every
+//! Differential wall for vertex reordering: the CPU engine under every
 //! ordering × widths {32, 256} produces depths *and* `traversed_edges`
 //! bit-identical to the unreordered run.
 //!
@@ -8,13 +8,12 @@
 //! its labeling — and `traversed_edges` is derived from depths and
 //! out-degrees, both permutation-invariant — so any divergence means the
 //! permutation, the relabel, or the map-in/map-out pair dropped or moved
-//! a vertex. The wall runs in `ci.sh` alongside the tiled and async
-//! equivalence walls.
+//! a vertex. The wall runs in `ci.sh` under `-O`.
 
 use ibfs_repro::graph::generators::{grid2d, hub_heavy, rmat, RmatParams};
 use ibfs_repro::graph::reorder::ReorderKind;
 use ibfs_repro::graph::{Csr, VertexId};
-use ibfs_repro::ibfs::cpu::{CpuEngine, CpuIbfs, CpuRun};
+use ibfs_repro::ibfs::cpu::{CpuIbfs, CpuRun};
 use ibfs_repro::ibfs::word::WordWidth;
 
 const WIDTHS: [WordWidth; 2] = [WordWidth::W32, WordWidth::W256];
@@ -32,21 +31,14 @@ fn seeded_graphs() -> Vec<(String, Csr)> {
     ]
 }
 
-fn run(
-    g: &Csr,
-    r: &Csr,
-    sources: &[VertexId],
-    engine: CpuEngine,
-    width: WordWidth,
-    reorder: ReorderKind,
-) -> CpuRun {
-    CpuIbfs { threads: 3, width, engine, reorder, ..Default::default() }
+fn run(g: &Csr, r: &Csr, sources: &[VertexId], width: WordWidth, reorder: ReorderKind) -> CpuRun {
+    CpuIbfs { threads: 3, width, reorder, ..Default::default() }
         .run_group(g, r, sources)
         .unwrap()
 }
 
-/// The full wall: graphs × engines × orderings × widths, depths and
-/// traversed_edges bit-identical to the unreordered run.
+/// The full wall: graphs × orderings × widths, depths and traversed_edges
+/// bit-identical to the unreordered run.
 #[test]
 fn reordered_engines_are_bit_identical_to_unreordered() {
     for (name, g) in seeded_graphs() {
@@ -54,21 +46,19 @@ fn reordered_engines_are_bit_identical_to_unreordered() {
         let n = g.num_vertices() as VertexId;
         // Dense-ish prefix plus duplicates and the last vertex.
         let sources: Vec<VertexId> = (0..n.min(24)).chain([0, n - 1, 0]).collect();
-        for engine in CpuEngine::all() {
-            for width in WIDTHS {
-                if sources.len() > width.bits() as usize {
-                    continue;
-                }
-                let plain = run(&g, &r, &sources, engine, width, ReorderKind::None);
-                for reorder in ORDERINGS {
-                    let reordered = run(&g, &r, &sources, engine, width, reorder);
-                    let what = format!("{name}: engine={engine} width={width} reorder={reorder}");
-                    assert_eq!(reordered.depths, plain.depths, "{what}: depths diverge");
-                    assert_eq!(
-                        reordered.traversed_edges, plain.traversed_edges,
-                        "{what}: traversed_edges diverge"
-                    );
-                }
+        for width in WIDTHS {
+            if sources.len() > width.bits() as usize {
+                continue;
+            }
+            let plain = run(&g, &r, &sources, width, ReorderKind::None);
+            for reorder in ORDERINGS {
+                let reordered = run(&g, &r, &sources, width, reorder);
+                let what = format!("{name}: width={width} reorder={reorder}");
+                assert_eq!(reordered.depths, plain.depths, "{what}: depths diverge");
+                assert_eq!(
+                    reordered.traversed_edges, plain.traversed_edges,
+                    "{what}: traversed_edges diverge"
+                );
             }
         }
     }
@@ -92,30 +82,5 @@ fn reordered_adaptive_service_stays_bit_identical_across_groups() {
             assert_eq!(run.depths, plain.depths, "{reorder} round {round}");
             assert_eq!(run.traversed_edges, plain.traversed_edges, "{reorder} round {round}");
         }
-    }
-}
-
-/// Tiled engine under an explicit small tile size — tile boundaries land
-/// differently in permuted space, which must still not move anything.
-#[test]
-fn reordered_tiled_engine_with_explicit_tiles_matches() {
-    let g = hub_heavy(400, 5, 3);
-    let r = g.reverse();
-    let sources: Vec<VertexId> = vec![0, 1, 200, 0];
-    let plain = CpuIbfs { threads: 3, engine: CpuEngine::Tiled, tile_size: 16, ..Default::default() }
-        .run_group(&g, &r, &sources)
-        .unwrap();
-    for reorder in ORDERINGS {
-        let reordered = CpuIbfs {
-            threads: 3,
-            engine: CpuEngine::Tiled,
-            tile_size: 16,
-            reorder,
-            ..Default::default()
-        }
-        .run_group(&g, &r, &sources)
-        .unwrap();
-        assert_eq!(reordered.depths, plain.depths, "{reorder}");
-        assert_eq!(reordered.traversed_edges, plain.traversed_edges, "{reorder}");
     }
 }

@@ -258,7 +258,7 @@ fn shared_cache_across_epochs_discards_stale_entries() {
     for resp in fresh.iter().chain(hits.iter()) {
         assert_eq!(
             resp.depths, want1[&resp.source],
-            "epoch crossover served stale depths for source {}",
+            "epoch change served stale depths for source {}",
             resp.source
         );
     }
