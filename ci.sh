@@ -49,20 +49,14 @@ cargo run -q --offline -p ibfs-bench --bin bfs -- serve-bench suite:PK \
     --metrics-out "$QOS_SNAP"
 cargo run -q --offline -p ibfs-bench --bin metrics-check -- "$QOS_SNAP"
 
-# CPU-engine gate: a seeded cpu-bench run of the CPU engine, plain and
-# under the hub-clustered vertex reordering (--reorder hub sweeps
-# none+hub). --check asserts its depths, reordered or not, are
-# bit-identical to reference_bfs and to the frozen pre-pool baseline,
-# runs the reorder locality gate (hub TEPS >= plain TEPS, enforced on >=
-# 2-core hosts only), and validates the emitted BENCH_cpu.json schema
-# through the in-tree JSON codec before writing it. The reorder
-# differential wall then pins every ordering × width combination to the
-# unreordered run bit for bit under -O.
+# CPU-engine gate: a seeded cpu-bench run of the CPU engine. --check
+# asserts its depths are bit-identical to reference_bfs and to the frozen
+# pre-pool baseline, and validates the emitted BENCH_cpu.json schema
+# through the in-tree JSON codec before writing it.
 cargo run -q --release --offline -p ibfs-bench --bin bfs -- cpu-bench \
     --scale 9 --edge-factor 8 --seed 42 --sources 32 --threads 2 \
-    --reorder hub --repeat 5 --check --out "$BENCH"
+    --repeat 5 --check --out "$BENCH"
 test -s "$BENCH"
-cargo test -q --release --offline --test reorder_differential
 
 # Sharded-traversal gate: the seeded shard-bench --check fails unless the
 # 4-shard sharded depths are bit-identical to reference_bfs on the
@@ -111,10 +105,9 @@ done
 test "$overhead_ok" = 1
 
 # Perf-trajectory gate: the fresh seeded BENCH_cpu.json (written by the
-# CPU-engine gate above at the committed baseline's exact config,
-# reordered rows included) must not regress more than the cross-machine
-# noise band against the committed baseline, and no run — reordered rows
-# included, which match only rows of the same ordering — may silently
+# CPU-engine gate above at the committed baseline's exact config) must not
+# regress more than the cross-machine noise band against the committed
+# baseline, and no run (matched by engine and thread count) may silently
 # disappear from the sweep.
 cargo run -q --release --offline -p ibfs-bench --bin bfs -- perf-diff \
     BENCH_cpu.json "$BENCH" --check

@@ -7,7 +7,7 @@
 //! truncated concurrent BFS, which is where iBFS's speedup comes in.
 
 use ibfs::bitwise::BitwiseEngine;
-use ibfs::cpu::{CpuIbfs, CpuMsBfs};
+use ibfs::cpu::{CpuOptions, CpuService};
 use ibfs::engine::{Engine, GpuGraph};
 use ibfs::sequential::SequentialEngine;
 use ibfs::word::WordWidth;
@@ -109,14 +109,9 @@ impl ReachabilityIndex {
             IndexBuilder::CpuMsBfs | IndexBuilder::CpuIbfs => {
                 // One resident service: pool + arena spawned once, reused
                 // across every group of the build.
-                let mut svc = match builder {
-                    IndexBuilder::CpuMsBfs => {
-                        CpuMsBfs { max_levels: k, threads, width, ..Default::default() }
-                            .service(graph, reverse)
-                    }
-                    _ => CpuIbfs { max_levels: k, threads, width, ..Default::default() }
-                        .service(graph, reverse),
-                };
+                let msbfs = builder == IndexBuilder::CpuMsBfs;
+                let opts = CpuOptions { threads, max_levels: k, width, msbfs };
+                let mut svc = CpuService::new(graph, reverse, opts);
                 let group_size = group_size.min(svc.capacity());
                 let mut offset = 0;
                 for group in sources.chunks(group_size) {

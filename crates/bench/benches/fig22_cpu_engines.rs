@@ -4,7 +4,7 @@
 //! paid once, outside the measured loop.
 
 use ibfs_util::bench::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ibfs::cpu::{CpuIbfs, CpuMsBfs};
+use ibfs::cpu::{CpuOptions, CpuService};
 use ibfs_graph::suite;
 
 fn bench_cpu_engines(c: &mut Criterion) {
@@ -16,11 +16,12 @@ fn bench_cpu_engines(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("fig22_cpu_engines");
     group.throughput(Throughput::Elements(edges_per_run));
-    let mut ibfs_svc = CpuIbfs::default().service(&g, &r);
+    let mut ibfs_svc = CpuService::new(&g, &r, CpuOptions::default());
     group.bench_with_input(BenchmarkId::from_parameter("cpu-ibfs"), &sources, |b, s| {
         b.iter(|| ibfs_svc.run_group(s).unwrap())
     });
-    let mut msbfs_svc = CpuMsBfs::default().service(&g, &r);
+    let msbfs = CpuOptions { msbfs: true, ..Default::default() };
+    let mut msbfs_svc = CpuService::new(&g, &r, msbfs);
     group.bench_with_input(BenchmarkId::from_parameter("cpu-msbfs"), &sources, |b, s| {
         b.iter(|| msbfs_svc.run_group(s).unwrap())
     });

@@ -5,7 +5,7 @@
 //!             [--group-size N] [--groupby] [--depths] [--trace PATH]
 //!             [--profile PATH] [--profile-trace PATH]
 //! bfs stats <GRAPH> [--engine ENGINE] [--sources N] [--group-size N]
-//!             [--groupby] [--json] [--locality]
+//!             [--groupby] [--json]
 //! bfs serve-bench <GRAPH> [--clients N] [--requests N] [--workers N]
 //!             [--max-batch N] [--window-us N] [--queue N] [--worker-queue N]
 //!             [--deadline-ms N] [--seed N] [--policy arrival|groupby|bestof]
@@ -16,8 +16,8 @@
 //!             [--trace PATH] [--profile-out PATH] [--profile-trace PATH]
 //! bfs cpu-bench [--scale N] [--edge-factor N] [--seed N] [--sources N]
 //!             [--group-size N] [--threads N[,N...]] [--width 32|64|128|256]
-//!             [--reorder none|degree|hub|rcm[,...]] [--repeat N] [--check]
-//!             [--out PATH] [--profile-out PATH] [--profile-trace PATH]
+//!             [--repeat N] [--check] [--out PATH] [--profile-out PATH]
+//!             [--profile-trace PATH]
 //! bfs shard-bench [--scale N] [--edge-factor N] [--seed N] [--sources N]
 //!             [--shards N] [--layout contiguous|hash] [--check] [--json]
 //!             [--out PATH] [--profile-out PATH] [--profile-trace PATH]
@@ -31,11 +31,7 @@
 //! PATH     output destination (`-` for stdout)
 //!
 //! `stats` runs one traversal and prints the metrics registry
-//! (Prometheus text, or a versioned JSON snapshot with `--json`);
-//! `stats --locality` skips the traversal and instead prints the graph's
-//! degree histogram and, for each vertex ordering (`none`, `degree`,
-//! `hub`, `rcm`), the mean |u - v| neighbor gap of the relabeled CSR —
-//! the locality surrogate the reorder pass optimizes.
+//! (Prometheus text, or a versioned JSON snapshot with `--json`).
 //! `serve-bench --metrics-out` writes the end-of-run JSON snapshot,
 //! `--metrics-text` the Prometheus rendering, and `--trace` the merged
 //! request-span + per-level JSONL stream. `--qos` enables the standard
@@ -64,6 +60,7 @@
 //! redraws a live SLO/serve/profiler dashboard.
 //! ```
 
+use ibfs::cpu::{CpuOptions, CpuService};
 use ibfs::engine::EngineKind;
 use ibfs::groupby::GroupingStrategy;
 use ibfs::runner::RunConfig;
@@ -325,15 +322,14 @@ fn one_shot_cpu(
     profile_out: Option<&str>,
     profile_trace: Option<&str>,
 ) -> ExitCode {
-    let cpu = ibfs::cpu::CpuIbfs::default();
-    let group_size = group_size.min(cpu.width.bits() as usize).min(ibfs::cpu::CPU_GROUP);
+    let mut svc = CpuService::new(graph, reverse, CpuOptions::default());
+    let group_size = group_size.min(svc.capacity());
     eprintln!(
         "graph: {} vertices, {} edges; cpu engine pooled; {} sources in groups of {group_size}",
         graph.num_vertices(),
         graph.num_edges(),
         sources.len(),
     );
-    let mut svc = cpu.service(graph, reverse);
     let prof =
         (profile_out.is_some() || profile_trace.is_some()).then(EngineProfiler::shared);
     if let Some(p) = &prof {
@@ -760,7 +756,6 @@ fn stats(args: Vec<String>) -> ExitCode {
     let mut group_size = 64usize;
     let mut groupby = false;
     let mut json = false;
-    let mut locality = false;
 
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -790,7 +785,6 @@ fn stats(args: Vec<String>) -> ExitCode {
             }
             "--groupby" => groupby = true,
             "--json" => json = true,
-            "--locality" => locality = true,
             other => return usage(&format!("stats: unknown option {other}")),
         }
     }
@@ -799,9 +793,6 @@ fn stats(args: Vec<String>) -> ExitCode {
         Ok(g) => g,
         Err(code) => return code,
     };
-    if locality {
-        return locality_stats(&graph, json);
-    }
     let reverse = graph.reverse();
     let sources: Vec<VertexId> =
         (0..graph.num_vertices().min(sources_n) as VertexId).collect();
@@ -838,94 +829,13 @@ fn stats(args: Vec<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `bfs stats --locality` — the layout report behind the reorder pass.
-/// Prints the degree histogram (power-of-two buckets) and, for each
-/// [`ibfs_graph::reorder::ReorderKind`], the mean absolute neighbor gap
-/// `mean |u - v|` of the relabeled CSR. The gap is the locality
-/// surrogate: status-word and depth-table probes during a top-down
-/// expansion of `u` touch cache lines proportional to how far its
-/// neighbors' ids sit from each other, so orderings that shrink the mean
-/// gap turn scattered probes into sequential ones.
-fn locality_stats(graph: &Csr, json: bool) -> ExitCode {
-    use ibfs_graph::reorder::{mean_neighbor_gap, ReorderKind, VertexPerm};
-    let n = graph.num_vertices();
-    // Power-of-two degree buckets: bucket 0 holds degree 0, bucket b >= 1
-    // holds degrees in [2^(b-1), 2^b).
-    let mut hist: Vec<u64> = Vec::new();
-    for v in 0..n as VertexId {
-        let d = graph.out_degree(v);
-        let b = if d == 0 { 0 } else { (usize::BITS - (d as usize).leading_zeros()) as usize };
-        if hist.len() <= b {
-            hist.resize(b + 1, 0);
-        }
-        hist[b] += 1;
-    }
-    let mut gaps: Vec<(ReorderKind, f64)> = Vec::new();
-    for kind in ReorderKind::all() {
-        let gap = match VertexPerm::build(kind, graph, ibfs::cpu::REORDER_SEED) {
-            None => mean_neighbor_gap(graph),
-            Some(perm) => mean_neighbor_gap(&perm.apply(graph)),
-        };
-        gaps.push((kind, gap));
-    }
-
-    if json {
-        let hist_json: Vec<Json> = hist.iter().map(|&c| Json::UInt(c)).collect();
-        let gaps_json: Vec<Json> = gaps
-            .iter()
-            .map(|(k, g)| {
-                Json::Obj(vec![
-                    ("reorder".to_string(), Json::Str(k.name().to_string())),
-                    ("mean_neighbor_gap".to_string(), Json::Float(*g)),
-                ])
-            })
-            .collect();
-        let doc = Json::Obj(vec![
-            ("num_vertices".to_string(), Json::UInt(n as u64)),
-            ("num_edges".to_string(), Json::UInt(graph.num_edges() as u64)),
-            ("degree_histogram_pow2".to_string(), Json::Arr(hist_json)),
-            ("orderings".to_string(), Json::Arr(gaps_json)),
-        ]);
-        println!("{}", doc.to_string_pretty());
-        return ExitCode::SUCCESS;
-    }
-
-    println!("locality: {} vertices, {} edges", n, graph.num_edges());
-    println!("degree histogram (power-of-two buckets):");
-    for (b, &count) in hist.iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        let (lo, hi) = if b == 0 { (0, 0) } else { (1usize << (b - 1), (1usize << b) - 1) };
-        println!("  degree {lo:>8}..={hi:<8} {count:>10} vertices");
-    }
-    let base = gaps
-        .iter()
-        .find(|(k, _)| *k == ReorderKind::None)
-        .map(|&(_, g)| g)
-        .unwrap_or(f64::NAN);
-    println!("mean neighbor gap |u - v| by ordering (lower = more sequential):");
-    for (kind, gap) in &gaps {
-        println!(
-            "  {:<8} {:>14.1}  ({:.2}x of natural)",
-            kind.name(),
-            gap,
-            gap / base.max(1e-12),
-        );
-    }
-    ExitCode::SUCCESS
-}
-
 /// `bfs cpu-bench` — measure the CPU engine against the frozen pre-pool
 /// baseline on a seeded R-MAT workload and write `BENCH_cpu.json`.
-/// `--check` verifies every run's depths against `reference_bfs` and, when
-/// a non-`none` `--reorder` ordering is swept, gates reordered TEPS >=
-/// unreordered TEPS on a power-law R-MAT (reported without being enforced
-/// on single-core hosts).
+/// `--check` verifies every run's depths against `reference_bfs` and the
+/// baseline.
 fn cpu_bench(args: Vec<String>) -> ExitCode {
     use ibfs_bench::cpubench::{
-        lost_gate, report_summary, report_to_json, run_cpu_bench, validate_report_json,
-        CpuBenchConfig,
+        report_summary, report_to_json, run_cpu_bench, validate_report_json, CpuBenchConfig,
     };
     let mut cfg = CpuBenchConfig::default();
     let mut out: Option<String> = None;
@@ -988,30 +898,6 @@ fn cpu_bench(args: Vec<String>) -> ExitCode {
                     }
                 }
             }
-            "--reorder" => {
-                let Some(list) = it.next() else {
-                    return usage("--reorder needs a name or comma list (none|degree|hub|rcm)");
-                };
-                let parsed: Option<Vec<_>> = list
-                    .split(',')
-                    .map(|x| ibfs_graph::reorder::ReorderKind::parse(x.trim()))
-                    .collect();
-                match parsed {
-                    Some(v) if !v.is_empty() => {
-                        // Every reordered row needs its unreordered control
-                        // row (the validator refuses documents without one),
-                        // so `none` is always swept first.
-                        let mut reorders = vec![ibfs_graph::reorder::ReorderKind::None];
-                        for k in v {
-                            if !reorders.contains(&k) {
-                                reorders.push(k);
-                            }
-                        }
-                        cfg.reorders = reorders;
-                    }
-                    _ => return usage("bad --reorder list (expect none|degree|hub|rcm)"),
-                }
-            }
             "--repeat" => {
                 cfg.repeat = match it.next().and_then(|s| s.parse().ok()) {
                     Some(n) => n,
@@ -1044,10 +930,9 @@ fn cpu_bench(args: Vec<String>) -> ExitCode {
         (profile_out.is_some() || profile_trace.is_some()).then(EngineProfiler::shared);
     cfg.profiler = profiler.clone();
 
-    let reorder_names: Vec<&str> = cfg.reorders.iter().map(|r| r.name()).collect();
     eprintln!(
         "cpu-bench: rmat scale {} edge-factor {} seed {}; {} sources, groups of {}, \
-         width {}, threads {:?}, reorder {reorder_names:?}{}",
+         width {}, threads {:?}{}",
         cfg.scale,
         cfg.edge_factor,
         cfg.seed,
@@ -1058,10 +943,6 @@ fn cpu_bench(args: Vec<String>) -> ExitCode {
         if cfg.check { " (checked against reference + baseline)" } else { "" },
     );
     let report = run_cpu_bench(&cfg);
-    if let Some(gate) = lost_gate(&report.reorder_gate) {
-        eprintln!("error: {gate}");
-        return ExitCode::FAILURE;
-    }
     let body = report_to_json(&report);
     // Round-trip the exact bytes we are about to write through the schema
     // validator, so a written file is a valid file.
@@ -1356,7 +1237,7 @@ fn usage(msg: &str) -> ExitCode {
          [--sources N | --source-list a,b,c] [--group-size N] [--groupby] [--depths] [--levels] \
          [--trace PATH|-] [--profile PATH|-] [--profile-trace PATH|-]\n\
        bfs stats <GRAPH|suite:NAME> [--engine ENGINE] [--sources N] [--group-size N] \
-         [--groupby] [--json] [--locality]\n\
+         [--groupby] [--json]\n\
        bfs serve-bench <GRAPH|suite:NAME> [--clients N] [--requests N] [--workers N] \
          [--max-batch N] [--window-us N] [--queue N] [--worker-queue N] [--deadline-ms N] \
          [--seed N] [--policy arrival|groupby|bestof] [--router rr|lpt] \
@@ -1367,8 +1248,7 @@ fn usage(msg: &str) -> ExitCode {
          [--profile-out PATH|-] [--profile-trace PATH|-]\n\
        bfs cpu-bench [--scale N] [--edge-factor N] [--seed N] [--sources N] \
          [--group-size N] [--threads N[,N...]] [--width 32|64|128|256] \
-         [--reorder none|degree|hub|rcm[,...]] [--repeat N] [--check] \
-         [--out PATH|-] [--profile-out PATH|-] [--profile-trace PATH|-]\n\
+         [--repeat N] [--check] [--out PATH|-] [--profile-out PATH|-] [--profile-trace PATH|-]\n\
        bfs shard-bench [--scale N] [--edge-factor N] [--seed N] [--sources N] \
          [--shards N] [--layout contiguous|hash] [--check] [--json] [--out PATH|-] \
          [--profile-out PATH|-] [--profile-trace PATH|-]\n\

@@ -4,19 +4,17 @@
 //! Runs a seeded fig22-style R-MAT workload through the frozen pre-pool
 //! baseline ([`ibfs::cpu_baseline::run_cpu_baseline`]) and the CPU engine
 //! ([`ibfs::cpu::CpuService`], recorded as `pooled`) at each requested
-//! thread count and vertex ordering, and reports TEPS, per-level wall
-//! times, and the speedup-over-baseline curve. With `check`, every run's
-//! depths are asserted equal to `reference_bfs`, and — when a reordering
-//! is swept — the reorder locality gate runs. The emitted JSON is the
-//! repo's perf trajectory record: committed once per perf PR so
+//! thread count, and reports TEPS, per-level wall times, and the
+//! speedup-over-baseline curve. With `check`, every run's depths are
+//! asserted equal to `reference_bfs` and to the baseline. The emitted JSON
+//! is the repo's perf trajectory record: committed once per perf PR so
 //! regressions are diffable.
 
-use ibfs::cpu::{CpuIbfs, CpuRun};
+use ibfs::cpu::{CpuOptions, CpuRun, CpuService};
 use ibfs::cpu_baseline::run_cpu_baseline;
 use ibfs::direction::DirectionPolicy;
 use ibfs::word::WordWidth;
 use ibfs_graph::generators::{rmat, RmatParams};
-use ibfs_graph::reorder::ReorderKind;
 use ibfs_graph::validate::reference_bfs;
 use ibfs_graph::{Csr, VertexId, DEPTH_UNVISITED};
 use ibfs_util::json::{FromJson, ToJson};
@@ -31,12 +29,14 @@ use ibfs_util::json_struct;
 /// not enforced on this host". v4: every run and speedup row carries the
 /// vertex `reorder` ordering it was measured under (`"none"` for the
 /// unreordered rows, which every reordered row must have as its in-report
-/// baseline), and the `reorder_gate` block records the tiled-vs-
+/// baseline), and a reorder-gate block records the tiled-vs-
 /// tiled+reordered locality gate the same way `hub_gate` records tiling.
 /// v5: the tiled and async engines are gone, and with them the tile-size
 /// field and the `hub_gate` block; the reorder gate compares the one engine
 /// with and without the ordering, so its `tiled_teps` is now `plain_teps`.
-pub const SCHEMA_VERSION: u64 = 5;
+/// v6: vertex reordering is gone, and with it the `reorder` field of runs
+/// and speedups and the reorder-gate block.
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// Workload configuration for the CPU benchmark.
 #[derive(Clone, Debug)]
@@ -55,17 +55,12 @@ pub struct CpuBenchConfig {
     pub threads: Vec<usize>,
     /// Status-word width for the engine.
     pub width: WordWidth,
-    /// Vertex orderings to sweep: the engine runs once per ordering (the
-    /// frozen baseline always runs unreordered). `None` is the unreordered
-    /// row every reordered row is compared against.
-    pub reorders: Vec<ReorderKind>,
     /// Verify every run's depths against `reference_bfs` (and the
-    /// baseline). When a non-`none` ordering is swept, additionally runs
-    /// the reorder locality gate ([`run_reorder_gate`]).
+    /// baseline).
     pub check: bool,
     /// Wall-clock noise damping: run every engine × thread-count
     /// measurement this many times and report the best (highest-TEPS)
-    /// pass, like the reorder gate's best-of-5. 0 and 1 both mean one pass.
+    /// pass. 0 and 1 both mean one pass.
     /// TEPS outliers on a loaded host are always downward, so best-of is
     /// the stable estimator — `ci.sh` leans on this for its tight
     /// profiler-overhead band.
@@ -85,7 +80,6 @@ impl Default for CpuBenchConfig {
             group_size: 64,
             threads: vec![1, 2, 4, 8],
             width: WordWidth::default(),
-            reorders: vec![ReorderKind::None],
             check: false,
             repeat: 1,
             profiler: None,
@@ -98,10 +92,6 @@ impl Default for CpuBenchConfig {
 pub struct CpuBenchRun {
     /// `"baseline"` (pre-pool `run_cpu`) or `"pooled"` (the CPU engine).
     pub engine: String,
-    /// Vertex ordering ([`ReorderKind::name`]) the service was built with:
-    /// `"none"`, `"degree"`, `"hub"`, or `"rcm"`. The baseline is always
-    /// `"none"`.
-    pub reorder: String,
     /// Worker threads used.
     pub threads: u64,
     /// Total wall-clock seconds over all groups.
@@ -122,7 +112,6 @@ pub struct CpuBenchRun {
 
 json_struct!(CpuBenchRun {
     engine,
-    reorder,
     threads,
     wall_seconds,
     traversed_edges,
@@ -138,8 +127,6 @@ json_struct!(CpuBenchRun {
 pub struct CpuSpeedup {
     /// The measured engine (`"pooled"`).
     pub engine: String,
-    /// Vertex ordering the engine ran under ([`ReorderKind::name`]).
-    pub reorder: String,
     /// Worker threads.
     pub threads: u64,
     /// Baseline TEPS.
@@ -150,49 +137,7 @@ pub struct CpuSpeedup {
     pub speedup: f64,
 }
 
-json_struct!(CpuSpeedup { engine, reorder, threads, baseline_teps, engine_teps, speedup });
-
-/// Outcome of the reorder locality gate (schema v4): the engine on the
-/// natural layout vs on a reordered layout, on the power-law workload
-/// where hub clustering pays. A single-core host runs the gate but cannot
-/// express the win (timeshared lanes blur the locality effect), so it
-/// reports the ordering without asserting it; the three booleans let a
-/// consumer (and `bfs perf-diff`) distinguish "passed" from "not enforced"
-/// from "never ran".
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ReorderGateStatus {
-    /// The gate executed (requires `check` and a non-`none` ordering in
-    /// the sweep).
-    pub ran: bool,
-    /// The TEPS ordering was asserted (multi-core hosts only).
-    pub enforced: bool,
-    /// `reordered_teps >= plain_teps` held. Meaningful only when `ran`.
-    pub passed: bool,
-    /// The ordering measured ([`ReorderKind::name`]; `"none"` = never ran).
-    pub reorder: String,
-    /// Threads the gate ran with (0 when it never ran).
-    pub threads: u64,
-    /// Best-of-N unreordered TEPS (0 when the gate never ran).
-    pub plain_teps: f64,
-    /// Best-of-N reordered TEPS (0 when the gate never ran).
-    pub reordered_teps: f64,
-}
-
-json_struct!(ReorderGateStatus {
-    ran,
-    enforced,
-    passed,
-    reorder,
-    threads,
-    plain_teps,
-    reordered_teps,
-});
-
-impl ReorderGateStatus {
-    fn never_ran() -> Self {
-        ReorderGateStatus { reorder: ReorderKind::None.name().to_string(), ..Default::default() }
-    }
-}
+json_struct!(CpuSpeedup { engine, threads, baseline_teps, engine_teps, speedup });
 
 /// The full `BENCH_cpu.json` document.
 #[derive(Clone, Debug)]
@@ -221,8 +166,6 @@ pub struct CpuBenchReport {
     pub runs: Vec<CpuBenchRun>,
     /// The per-engine thread-scaling speedup curve.
     pub speedups: Vec<CpuSpeedup>,
-    /// Reorder locality gate outcome (`ran: false` when it never ran).
-    pub reorder_gate: ReorderGateStatus,
 }
 
 json_struct!(CpuBenchReport {
@@ -238,16 +181,9 @@ json_struct!(CpuBenchReport {
     width_bits,
     runs,
     speedups,
-    reorder_gate,
 });
 
-fn summarize(
-    engine: &str,
-    reorder: ReorderKind,
-    threads: usize,
-    runs: &[CpuRun],
-    pool_phases: u64,
-) -> CpuBenchRun {
+fn summarize(engine: &str, threads: usize, runs: &[CpuRun], pool_phases: u64) -> CpuBenchRun {
     let wall: f64 = runs.iter().map(|r| r.wall_seconds).sum();
     let edges: u64 = runs.iter().map(|r| r.traversed_edges).sum();
     let mut level_seconds: Vec<f64> = Vec::new();
@@ -261,7 +197,6 @@ fn summarize(
     }
     CpuBenchRun {
         engine: engine.to_string(),
-        reorder: reorder.name().to_string(),
         threads: threads as u64,
         wall_seconds: wall,
         traversed_edges: edges,
@@ -293,10 +228,7 @@ fn check_depths(graph: &Csr, sources: &[VertexId], runs: &[CpuRun], what: &str) 
 /// Runs the benchmark and builds the report. With `cfg.check`, every
 /// run's depths are asserted equal to `reference_bfs` (and bit-identical
 /// to the baseline — both converge to the same fixed point) at every
-/// thread count; sweeping a reordering additionally runs
-/// [`run_reorder_gate`] and records whether its TEPS ordering held.
-/// Whether a lost ordering fails the run is [`lost_gate`]'s decision,
-/// taken by `bfs cpu-bench --check`.
+/// thread count.
 pub fn run_cpu_bench(cfg: &CpuBenchConfig) -> CpuBenchReport {
     let graph = rmat(cfg.scale, cfg.edge_factor as usize, RmatParams::graph500(), cfg.seed);
     let reverse = graph.reverse();
@@ -345,101 +277,54 @@ pub fn run_cpu_bench(cfg: &CpuBenchConfig) -> CpuBenchReport {
                 })
                 .collect()
         });
-        let b = summarize("baseline", ReorderKind::None, threads, &baseline_runs, 0);
+        let b = summarize("baseline", threads, &baseline_runs, 0);
         let baseline_teps = b.teps;
         runs.push(b);
 
-        for &reorder in &cfg.reorders {
-            // One resident service per ordering, pool + arena (and the
-            // relabeled CSR) reused across the run's groups — and across
-            // best-of repeats, which also warms the pool before the counted
-            // passes. The relabel happens once at build, so its cost is
-            // amortized exactly like a real deployment's.
-            let mut svc = CpuIbfs { threads, width: cfg.width, reorder, ..Default::default() }
-                .service(&graph, &reverse);
-            if let Some(p) = &cfg.profiler {
-                svc.set_profiler(p.clone());
-            }
-            let mut pool_phases = 0;
-            let engine_runs = best_of(&mut || {
-                let before = svc.stats().pool_phases;
-                let rs: Vec<CpuRun> = sources
-                    .chunks(group_size)
-                    .map(|group| svc.run_group(group).expect("bench groups are sized to capacity"))
-                    .collect();
-                // Phases per pass are identical across repeats (same plan,
-                // same groups), so the last pass's delta stands for all.
-                pool_phases = svc.stats().pool_phases - before;
-                rs
-            });
-            let what = format!("pooled+{}", reorder.name());
-
-            if cfg.check {
-                check_depths(&graph, &sources, &engine_runs, &what);
-                // With matching group boundaries the concatenated depth
-                // tables are comparable element-wise: both converge to the
-                // reference fixed point — and depths are invariant under
-                // relabeling, so the reordered rows must match the
-                // unreordered baseline bit for bit.
-                if group_size <= ibfs::cpu_baseline::BASELINE_GROUP {
-                    assert_eq!(
-                        flat(&baseline_runs),
-                        flat(&engine_runs),
-                        "{what} depths diverge from baseline at {threads} threads"
-                    );
-                }
-            }
-
-            let e = summarize("pooled", reorder, threads, &engine_runs, pool_phases);
-            speedups.push(CpuSpeedup {
-                engine: e.engine.clone(),
-                reorder: reorder.name().to_string(),
-                threads: threads as u64,
-                baseline_teps,
-                engine_teps: e.teps,
-                speedup: e.teps / baseline_teps.max(1e-12),
-            });
-            runs.push(e);
+        // One resident service, pool + arena reused across the run's
+        // groups — and across best-of repeats, which also warms the pool
+        // before the counted passes.
+        let opts = CpuOptions { threads, width: cfg.width, ..Default::default() };
+        let mut svc = CpuService::new(&graph, &reverse, opts);
+        if let Some(p) = &cfg.profiler {
+            svc.set_profiler(p.clone());
         }
-    }
+        let mut pool_phases = 0;
+        let engine_runs = best_of(&mut || {
+            let before = svc.stats().pool_phases;
+            let rs: Vec<CpuRun> = sources
+                .chunks(group_size)
+                .map(|group| svc.run_group(group).expect("bench groups are sized to capacity"))
+                .collect();
+            // Phases per pass are identical across repeats (same plan,
+            // same groups), so the last pass's delta stands for all.
+            pool_phases = svc.stats().pool_phases - before;
+            rs
+        });
 
-    let mut reorder_gate = ReorderGateStatus::never_ran();
-    let gate_kind = cfg
-        .reorders
-        .iter()
-        .copied()
-        .find(|&k| k == ReorderKind::HubCluster)
-        .or_else(|| cfg.reorders.iter().copied().find(|&k| k != ReorderKind::None));
-    if let (true, Some(kind)) = (cfg.check, gate_kind) {
-        let threads = cfg.threads.iter().copied().max().unwrap_or(2).max(2);
-        let gate = run_reorder_gate(threads, kind);
-        eprintln!(
-            "reorder gate: plain {:.0} TEPS, {} {:.0} TEPS ({:.2}x) at {} threads",
-            gate.plain_teps,
-            kind.name(),
-            gate.reordered_teps,
-            gate.reordered_teps / gate.plain_teps.max(1e-12),
-            gate.threads,
-        );
-        // Reordering wins by turning scattered status-word and CSR probes
-        // into sequential ones — a cache effect that only shows when lanes
-        // genuinely contend for memory. Single-core timeshared lanes blur
-        // it below the relabeling overhead, so the TEPS ordering is
-        // enforced only where the hardware can express it; bit-identical
-        // depths are asserted inside the gate regardless.
-        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-        reorder_gate = ReorderGateStatus {
-            ran: true,
-            enforced: cores >= 2,
-            passed: gate.reordered_teps >= gate.plain_teps,
-            reorder: kind.name().to_string(),
-            threads: gate.threads as u64,
-            plain_teps: gate.plain_teps,
-            reordered_teps: gate.reordered_teps,
-        };
-        if cores < 2 {
-            eprintln!("reorder gate: single-core host, TEPS ordering reported but not enforced");
+        if cfg.check {
+            check_depths(&graph, &sources, &engine_runs, "pooled");
+            // With matching group boundaries the concatenated depth
+            // tables are comparable element-wise: both converge to the
+            // reference fixed point.
+            if group_size <= ibfs::cpu_baseline::BASELINE_GROUP {
+                assert_eq!(
+                    flat(&baseline_runs),
+                    flat(&engine_runs),
+                    "pooled depths diverge from baseline at {threads} threads"
+                );
+            }
         }
+
+        let e = summarize("pooled", threads, &engine_runs, pool_phases);
+        speedups.push(CpuSpeedup {
+            engine: e.engine.clone(),
+            threads: threads as u64,
+            baseline_teps,
+            engine_teps: e.teps,
+            speedup: e.teps / baseline_teps.max(1e-12),
+        });
+        runs.push(e);
     }
 
     CpuBenchReport {
@@ -455,67 +340,7 @@ pub fn run_cpu_bench(cfg: &CpuBenchConfig) -> CpuBenchReport {
         width_bits: cfg.width.bits() as u64,
         runs,
         speedups,
-        reorder_gate,
     }
-}
-
-/// The gate verdict `bfs cpu-bench --check` exits on: a message when the
-/// reorder gate was enforced (on a host with at least 2 cores) and lost
-/// its TEPS ordering. A report-only or never-run gate passes. The gate
-/// asserts its depth check itself, whatever this returns.
-pub fn lost_gate(reorder: &ReorderGateStatus) -> Option<String> {
-    (reorder.enforced && !reorder.passed).then(|| {
-        format!(
-            "reorder locality gate: {} {:.0} TEPS < plain {:.0} TEPS at {} threads",
-            reorder.reorder, reorder.reordered_teps, reorder.plain_teps, reorder.threads
-        )
-    })
-}
-
-/// Result of the reorder locality gate (see [`run_reorder_gate`]).
-#[derive(Clone, Copy, Debug)]
-pub struct ReorderGateResult {
-    /// Threads both services ran with.
-    pub threads: usize,
-    /// Best-of-N unreordered TEPS.
-    pub plain_teps: f64,
-    /// Best-of-N reordered TEPS.
-    pub reordered_teps: f64,
-}
-
-/// The workload where vertex reordering must pay: a scale-12 power-law
-/// R-MAT whose natural labeling scatters each hub's neighbors across the
-/// whole status-word array, so every top-down expansion of a hub walks the
-/// bitmap in a random-access pattern. Clustering hubs with their neighbors
-/// ([`ReorderKind::HubCluster`], or whichever ordering the sweep selected)
-/// turns those probes sequential. Both services are resident (relabel cost
-/// amortized at build, exactly as deployed), run the same 64-source group
-/// best-of-5, and their depths are asserted bit-identical before any
-/// timing is compared — a reordered *win* bought with a wrong answer must
-/// never pass the gate.
-pub fn run_reorder_gate(threads: usize, kind: ReorderKind) -> ReorderGateResult {
-    let graph = rmat(12, 8, RmatParams::graph500(), 42);
-    let reverse = graph.reverse();
-    let sources: Vec<VertexId> = (0..64).collect();
-    let mut best = [0.0f64; 2];
-    let mut depths: [Option<Vec<ibfs_graph::Depth>>; 2] = [None, None];
-    for (i, reorder) in [ReorderKind::None, kind].into_iter().enumerate() {
-        let mut svc = CpuIbfs { threads, width: WordWidth::W64, reorder, ..Default::default() }
-            .service(&graph, &reverse);
-        for _ in 0..5 {
-            let run = svc.run_group(&sources).expect("gate group fits capacity");
-            best[i] = best[i].max(run.teps());
-            match &depths[i] {
-                None => depths[i] = Some(run.depths),
-                Some(d) => assert_eq!(d, &run.depths, "reorder={reorder}: unstable depths"),
-            }
-        }
-    }
-    assert_eq!(
-        depths[0], depths[1],
-        "reorder gate: {kind} depths diverge from the unreordered run"
-    );
-    ReorderGateResult { threads, plain_teps: best[0], reordered_teps: best[1] }
 }
 
 /// Validates a serialized report: parses it back through the in-tree JSON
@@ -539,33 +364,8 @@ pub fn validate_report_json(text: &str) -> Result<CpuBenchReport, String> {
         if run.engine != "baseline" && run.engine != "pooled" {
             return Err(format!("unknown engine {:?}", run.engine));
         }
-        if ReorderKind::parse(&run.reorder).is_none() {
-            return Err(format!("unknown reorder {:?}", run.reorder));
-        }
         if run.engine == "baseline" {
-            if run.reorder != ReorderKind::None.name() {
-                return Err(format!(
-                    "baseline run claims reorder {:?} (the frozen baseline never reorders)",
-                    run.reorder
-                ));
-            }
             baselines += 1;
-        }
-        // A reordered row is only interpretable against the same engine ×
-        // thread-count row in its *natural* ordering — a report that ships
-        // reordered TEPS without the unreordered control is unfalsifiable.
-        if run.engine != "baseline" && run.reorder != ReorderKind::None.name() {
-            let has_control = report.runs.iter().any(|r| {
-                r.engine == run.engine
-                    && r.threads == run.threads
-                    && r.reorder == ReorderKind::None.name()
-            });
-            if !has_control {
-                return Err(format!(
-                    "reordered run {}+{}@{}t has no reorder=\"none\" control row",
-                    run.engine, run.reorder, run.threads
-                ));
-            }
         }
         if run.threads == 0 || run.wall_seconds <= 0.0 || run.traversed_edges == 0 {
             return Err(format!(
@@ -601,29 +401,6 @@ pub fn validate_report_json(text: &str) -> Result<CpuBenchReport, String> {
         if s.engine != "pooled" {
             return Err(format!("speedup for unknown engine {:?}", s.engine));
         }
-        if ReorderKind::parse(&s.reorder).is_none() {
-            return Err(format!("speedup for unknown reorder {:?}", s.reorder));
-        }
-    }
-    // A lost but enforced gate is a valid record; failing on it is
-    // `lost_gate`'s verdict, not a schema violation.
-    let rg = &report.reorder_gate;
-    if ReorderKind::parse(&rg.reorder).is_none() {
-        return Err(format!("reorder_gate names unknown reorder {:?}", rg.reorder));
-    }
-    if rg.enforced && !rg.ran {
-        return Err("reorder_gate claims enforced without having run".to_string());
-    }
-    if rg.ran
-        && (rg.threads == 0
-            || rg.plain_teps <= 0.0
-            || rg.reordered_teps <= 0.0
-            || rg.reorder == ReorderKind::None.name())
-    {
-        return Err(format!(
-            "reorder_gate ran with degenerate measurements: reorder={} threads={} plain={} reordered={}",
-            rg.reorder, rg.threads, rg.plain_teps, rg.reordered_teps
-        ));
     }
     Ok(report)
 }
@@ -652,28 +429,10 @@ pub fn report_summary(report: &CpuBenchReport) -> String {
         report.width_bits,
     );
     for s in &report.speedups {
-        let label = if s.reorder == "none" {
-            s.engine.clone()
-        } else {
-            format!("{}+{}", s.engine, s.reorder)
-        };
         let _ = writeln!(
             out,
             "  threads={:<2} baseline {:>12.0} TEPS | {:<10} {:>12.0} TEPS | speedup {:.2}x",
-            s.threads, s.baseline_teps, label, s.engine_teps, s.speedup
-        );
-    }
-    if report.reorder_gate.ran {
-        let rg = &report.reorder_gate;
-        let _ = writeln!(
-            out,
-            "  reorder gate [{}]: plain {:.0} TEPS | {} {:.0} TEPS ({:.2}x, {})",
-            if rg.enforced { "enforced" } else { "report-only" },
-            rg.plain_teps,
-            rg.reorder,
-            rg.reordered_teps,
-            rg.reordered_teps / rg.plain_teps.max(1e-12),
-            if rg.passed { "passed" } else { "behind" },
+            s.threads, s.baseline_teps, s.engine, s.engine_teps, s.speedup
         );
     }
     out
@@ -713,10 +472,6 @@ mod tests {
         assert!(report_summary(&parsed).contains("pooled"));
     }
 
-    fn host_cores() -> usize {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    }
-
     #[test]
     fn profiler_attaches_to_the_engine_service() {
         let prof = ibfs_obs::EngineProfiler::shared();
@@ -747,14 +502,12 @@ mod tests {
         assert!(validate_report_json(&good).is_ok());
         assert!(validate_report_json("{}").is_err());
         assert!(validate_report_json("not json").is_err());
-        let wrong_version = good.replace("\"schema_version\": 5", "\"schema_version\": 99");
+        let wrong_version = good.replace("\"schema_version\": 6", "\"schema_version\": 99");
         assert!(validate_report_json(&wrong_version).unwrap_err().contains("schema_version"));
         let wrong_engine = good.replace("\"engine\": \"pooled\"", "\"engine\": \"cuda\"");
         assert!(validate_report_json(&wrong_engine).unwrap_err().contains("unknown engine"));
-        // check:false means the gate never ran — claiming enforcement over
-        // a gate that never ran is a forged document.
-        let forged_gate = good.replace("\"enforced\": false", "\"enforced\": true");
-        assert!(validate_report_json(&forged_gate).unwrap_err().contains("reorder_gate"));
+        let no_threads = good.replace("\"threads\": 1", "\"threads\": 0");
+        assert!(validate_report_json(&no_threads).unwrap_err().contains("degenerate run"));
     }
 
     #[test]
@@ -776,80 +529,5 @@ mod tests {
         assert_eq!(pooled.groups, 1);
         let baseline = report.runs.iter().find(|r| r.engine == "baseline").unwrap();
         assert_eq!(baseline.groups, 2);
-    }
-
-    #[test]
-    fn reorder_sweep_adds_rows_and_runs_the_gate() {
-        // Two orderings at one thread count: 1 baseline + 2 engine rows,
-        // every reordered row checked bit-identical to the baseline inside
-        // the run (check: true), and the locality gate run on `hub`.
-        let report = run_cpu_bench(&CpuBenchConfig {
-            reorders: vec![ReorderKind::None, ReorderKind::HubCluster],
-            threads: vec![2],
-            ..tiny_config()
-        });
-        assert_eq!(report.runs.len(), 3);
-        assert_eq!(report.speedups.len(), 2);
-        for reorder in ["none", "hub"] {
-            assert!(
-                report.runs.iter().any(|r| r.engine == "pooled" && r.reorder == reorder),
-                "missing pooled+{reorder}"
-            );
-        }
-        assert!(report.runs.iter().all(|r| r.engine != "baseline" || r.reorder == "none"));
-        let rg = &report.reorder_gate;
-        assert!(rg.ran);
-        assert_eq!(rg.reorder, "hub");
-        assert!(rg.threads >= 2);
-        assert!(rg.plain_teps > 0.0 && rg.reordered_teps > 0.0);
-        assert_eq!(rg.passed, rg.reordered_teps >= rg.plain_teps);
-        assert_eq!(rg.enforced, host_cores() >= 2);
-        let parsed = validate_report_json(&report_to_json(&report)).expect("schema-valid");
-        assert!(report_summary(&parsed).contains("pooled+hub"));
-    }
-
-    #[test]
-    fn only_an_enforced_gate_that_lost_fails_the_check() {
-        let reorder = |enforced, passed| ReorderGateStatus {
-            ran: true,
-            enforced,
-            passed,
-            reorder: "hub".to_string(),
-            threads: 2,
-            plain_teps: 2.0,
-            reordered_teps: if passed { 3.0 } else { 1.0 },
-        };
-        assert_eq!(lost_gate(&ReorderGateStatus::never_ran()), None);
-        // A report-only (single-core) loss and an enforced win pass.
-        assert_eq!(lost_gate(&reorder(false, false)), None);
-        assert_eq!(lost_gate(&reorder(true, true)), None);
-        let lost = lost_gate(&reorder(true, false)).expect("an enforced loss fails");
-        assert!(lost.contains("hub 1 TEPS < plain 2 TEPS"), "got: {lost}");
-    }
-
-    #[test]
-    fn validator_rejects_reordered_rows_without_their_control() {
-        let mut report = run_cpu_bench(&CpuBenchConfig {
-            threads: vec![1],
-            check: false,
-            ..tiny_config()
-        });
-        // Relabel the only pooled row as a hub-reordered measurement: the
-        // unreordered control disappears and the document is no longer
-        // interpretable as a locality comparison.
-        let row = report.runs.iter_mut().find(|r| r.engine == "pooled").unwrap();
-        row.reorder = "hub".to_string();
-        let err = validate_report_json(&report_to_json(&report)).unwrap_err();
-        assert!(err.contains("control"), "got: {err}");
-        // A baseline row claiming an ordering is equally forged.
-        let mut report2 = run_cpu_bench(&CpuBenchConfig {
-            threads: vec![1],
-            check: false,
-            ..tiny_config()
-        });
-        report2.runs.iter_mut().find(|r| r.engine == "baseline").unwrap().reorder =
-            "rcm".to_string();
-        let err2 = validate_report_json(&report_to_json(&report2)).unwrap_err();
-        assert!(err2.contains("baseline"), "got: {err2}");
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::result::gteps;
 use crate::{FigureResult, HarnessConfig};
-use ibfs::cpu::{CpuIbfs, CpuMsBfs, CpuRun};
+use ibfs::cpu::{CpuOptions, CpuRun, CpuService};
 use ibfs::engine::EngineKind;
 use ibfs::groupby::{GroupByConfig, GroupingStrategy};
 use ibfs::runner::{run_ibfs, RunConfig};
@@ -34,13 +34,9 @@ pub fn run(cfg: &HarnessConfig) -> FigureResult {
         // CPU engines: wall-clock TEPS through a resident service (pool +
         // arena reused across every group of the run).
         let cpu_teps = |msbfs: bool| {
-            let mut svc = if msbfs {
-                CpuMsBfs { threads: cfg.threads, width: cfg.width, ..Default::default() }
-                    .service(&g, &r)
-            } else {
-                CpuIbfs { threads: cfg.threads, width: cfg.width, ..Default::default() }
-                    .service(&g, &r)
-            };
+            let opts =
+                CpuOptions { threads: cfg.threads, width: cfg.width, msbfs, ..Default::default() };
+            let mut svc = CpuService::new(&g, &r, opts);
             let runs: Vec<CpuRun> = sources
                 .chunks(cpu_group)
                 .map(|group| svc.run_group(group).expect("fig22 groups are sized to capacity"))

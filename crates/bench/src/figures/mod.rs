@@ -15,16 +15,15 @@ pub mod fig22;
 pub mod fig6;
 pub mod fig8;
 pub mod fig9;
-pub mod locality;
 pub mod table1;
 
 use crate::{FigureResult, HarnessConfig};
 
 /// All reproducible experiment ids, in paper order (repo-own ablations
 /// last).
-pub const ALL_IDS: [&str; 17] = [
+pub const ALL_IDS: [&str; 16] = [
     "fig2", "fig6", "fig8", "fig9", "fig11", "fig14", "fig15", "fig16", "fig17", "fig18",
-    "fig19", "fig20", "fig21", "fig22", "table1", "ablations", "locality",
+    "fig19", "fig20", "fig21", "fig22", "table1", "ablations",
 ];
 
 /// Runs one experiment by id.
@@ -46,7 +45,6 @@ pub fn run_by_id(id: &str, cfg: &HarnessConfig) -> Option<FigureResult> {
         "fig22" => fig22::run(cfg),
         "table1" => table1::run(cfg),
         "ablations" => ablations::run(cfg),
-        "locality" => locality::run(cfg),
         _ => return None,
     })
 }
@@ -134,6 +132,6 @@ mod tests {
             assert!(!id.is_empty());
         }
         assert!(run_by_id("not-an-experiment", &crate::HarnessConfig::tiny()).is_none());
-        assert_eq!(ALL_IDS.len(), 17);
+        assert_eq!(ALL_IDS.len(), 16);
     }
 }

@@ -2,12 +2,9 @@
 //!
 //! The committed benchmark report is the repo's perf trajectory record;
 //! this module turns a pair of reports into a reviewable table and a CI
-//! verdict. Runs are matched by `(engine, reorder, threads)` — a
-//! hub-reordered row only ever compares against the same reordered row,
-//! never against the unreordered one it is supposed to beat; a run whose
-//! TEPS falls below `base * (1 - noise/100)` is a regression. The
-//! reorder-gate blocks of both documents are surfaced so "gate stopped
-//! being enforced" is visible in the same place as the rates.
+//! verdict. Runs are matched by `(engine, threads)`, keyed
+//! `engine@threads`; a run whose TEPS falls below `base * (1 - noise/100)`
+//! is a regression.
 //!
 //! The noise band exists because TEPS is a wall-clock measurement: the
 //! default [`DEFAULT_NOISE_PCT`] absorbs scheduler jitter and
@@ -24,20 +21,18 @@
 //! (it is clamped at 1.0) so a lucky-fast reference cannot manufacture
 //! failures, and the calibrating rows themselves are never flagged.
 
-use crate::cpubench::{lost_gate, validate_report_json, CpuBenchReport, ReorderGateStatus};
+use crate::cpubench::{validate_report_json, CpuBenchReport};
 use std::fmt::Write as _;
 
 /// Default allowed TEPS drop, in percent. Wide on purpose: the committed
 /// baseline may come from a different machine.
 pub const DEFAULT_NOISE_PCT: f64 = 30.0;
 
-/// One matched `(engine, reorder, threads)` comparison.
+/// One matched `(engine, threads)` comparison.
 #[derive(Clone, Debug)]
 pub struct DiffRow {
     /// Engine name (`"baseline"` or `"pooled"`).
     pub engine: String,
-    /// Vertex ordering the row was measured under (`"none"` = natural).
-    pub reorder: String,
     /// Worker threads.
     pub threads: u64,
     /// TEPS in the base (older / committed) report.
@@ -58,7 +53,7 @@ pub struct DiffRow {
 pub struct PerfDiff {
     /// Matched runs, in base-report order.
     pub rows: Vec<DiffRow>,
-    /// `(engine, reorder, threads)` keys present in base but absent in
+    /// `engine@threads` keys present in base but absent in
     /// new — a disappeared run can hide a regression, so `--check` fails
     /// on these.
     pub missing: Vec<String>,
@@ -71,10 +66,6 @@ pub struct PerfDiff {
     pub calibration: f64,
     /// Engine named by `--calibrate`, if it matched any rows.
     pub calibrated_against: Option<String>,
-    /// Reorder-gate outcome recorded in the base report.
-    pub base_reorder_gate: ReorderGateStatus,
-    /// Reorder-gate outcome recorded in the new report.
-    pub new_reorder_gate: ReorderGateStatus,
 }
 
 impl PerfDiff {
@@ -83,12 +74,9 @@ impl PerfDiff {
         self.rows.iter().filter(|r| r.regressed).collect()
     }
 
-    /// The CI verdict: no regressed rows, no disappeared runs, and no
-    /// enforced gate lost in the new report.
+    /// The CI verdict: no regressed rows and no disappeared runs.
     pub fn passes(&self) -> bool {
-        self.regressions().is_empty()
-            && self.missing.is_empty()
-            && lost_gate(&self.new_reorder_gate).is_none()
+        self.regressions().is_empty() && self.missing.is_empty()
     }
 }
 
@@ -105,27 +93,16 @@ pub fn diff_reports(
 ) -> PerfDiff {
     let noise_pct = noise_pct.clamp(0.0, 99.999);
     let floor = 1.0 - noise_pct / 100.0;
-    let key = |engine: &str, reorder: &str, threads: u64| {
-        if reorder == "none" {
-            format!("{engine}@{threads}t")
-        } else {
-            format!("{engine}+{reorder}@{threads}t")
-        }
-    };
+    let key = |engine: &str, threads: u64| format!("{engine}@{threads}t");
 
     let mut rows = Vec::new();
     let mut missing = Vec::new();
     for b in &base.runs {
-        match new
-            .runs
-            .iter()
-            .find(|n| n.engine == b.engine && n.reorder == b.reorder && n.threads == b.threads)
-        {
+        match new.runs.iter().find(|n| n.engine == b.engine && n.threads == b.threads) {
             Some(n) => {
                 let ratio = n.teps / b.teps.max(1e-12);
                 rows.push(DiffRow {
                     engine: b.engine.clone(),
-                    reorder: b.reorder.clone(),
                     threads: b.threads,
                     base_teps: b.teps,
                     new_teps: n.teps,
@@ -134,7 +111,7 @@ pub fn diff_reports(
                     calibrator: calibrate == Some(b.engine.as_str()),
                 });
             }
-            None => missing.push(key(&b.engine, &b.reorder, b.threads)),
+            None => missing.push(key(&b.engine, b.threads)),
         }
     }
     let calibrators: Vec<f64> =
@@ -152,12 +129,8 @@ pub fn diff_reports(
     let added = new
         .runs
         .iter()
-        .filter(|n| {
-            !base.runs.iter().any(|b| {
-                b.engine == n.engine && b.reorder == n.reorder && b.threads == n.threads
-            })
-        })
-        .map(|n| key(&n.engine, &n.reorder, n.threads))
+        .filter(|n| !base.runs.iter().any(|b| b.engine == n.engine && b.threads == n.threads))
+        .map(|n| key(&n.engine, n.threads))
         .collect();
 
     PerfDiff {
@@ -167,8 +140,6 @@ pub fn diff_reports(
         noise_pct,
         calibration,
         calibrated_against,
-        base_reorder_gate: base.reorder_gate.clone(),
-        new_reorder_gate: new.reorder_gate.clone(),
     }
 }
 
@@ -187,26 +158,6 @@ pub fn diff_report_texts(
     Ok(diff_reports(&base, &new, noise_pct, calibrate))
 }
 
-fn reorder_gate_line(g: &ReorderGateStatus) -> String {
-    if !g.ran {
-        return "not run".to_string();
-    }
-    format!(
-        "{} (plain {:.0} TEPS, {} {:.0} TEPS, {:.2}x at {} threads)",
-        match (g.enforced, g.passed) {
-            (true, true) => "enforced, passed",
-            (true, false) => "enforced, LOST",
-            (false, true) => "reported only (single-core host), ordering held",
-            (false, false) => "reported only (single-core host), ordering inverted",
-        },
-        g.plain_teps,
-        g.reorder,
-        g.reordered_teps,
-        g.reordered_teps / g.plain_teps.max(1e-12),
-        g.threads,
-    )
-}
-
 /// Renders the comparison as the table `bfs perf-diff` prints.
 pub fn render_diff(diff: &PerfDiff, base_label: &str, new_label: &str) -> String {
     let mut out = String::new();
@@ -221,15 +172,10 @@ pub fn render_diff(diff: &PerfDiff, base_label: &str, new_label: &str) -> String
         "engine", "threads", "base TEPS", "new TEPS", "ratio"
     );
     for r in &diff.rows {
-        let label = if r.reorder == "none" {
-            r.engine.clone()
-        } else {
-            format!("{}+{}", r.engine, r.reorder)
-        };
         let _ = writeln!(
             out,
             "  {:<14} {:>7} {:>14.0} {:>14.0} {:>6.2}x  {}",
-            label,
+            r.engine,
             r.threads,
             r.base_teps,
             r.new_teps,
@@ -257,8 +203,6 @@ pub fn render_diff(diff: &PerfDiff, base_label: &str, new_label: &str) -> String
     for a in &diff.added {
         let _ = writeln!(out, "  {a}: new run (no baseline to compare)");
     }
-    let _ = writeln!(out, "  reorder gate: base {}", reorder_gate_line(&diff.base_reorder_gate));
-    let _ = writeln!(out, "  reorder gate: new  {}", reorder_gate_line(&diff.new_reorder_gate));
     let regressions = diff.regressions().len();
     let _ = writeln!(
         out,
@@ -301,7 +245,6 @@ mod tests {
         }
         let text = render_diff(&diff, "a.json", "b.json");
         assert!(text.contains("PASS"));
-        assert!(text.contains("reorder gate: base not run"));
     }
 
     #[test]
@@ -333,8 +276,9 @@ mod tests {
         pruned.speedups.retain(|s| s.threads != 2);
         let diff = diff_reports(&base, &pruned, 30.0, None);
         assert!(!diff.passes());
-        assert_eq!(diff.missing.len(), 2); // baseline@2t + pooled@2t
+        assert_eq!(diff.missing, vec!["baseline@2t".to_string(), "pooled@2t".to_string()]);
         assert!(diff.regressions().is_empty());
+        assert!(render_diff(&diff, "a", "b").contains("pooled@2t: in base but MISSING from new"));
         // The reverse direction is additive and passes.
         let diff = diff_reports(&pruned, &base, 30.0, None);
         assert!(diff.passes());
@@ -386,73 +330,6 @@ mod tests {
         let diff = diff_reports(&base, &base, 5.0, Some("no-such-engine"));
         assert!((diff.calibration - 1.0).abs() < 1e-9);
         assert!(diff.calibrated_against.is_none());
-    }
-
-    #[test]
-    fn reordered_rows_match_only_their_own_ordering() {
-        use ibfs_graph::reorder::ReorderKind;
-        let base = run_cpu_bench(&CpuBenchConfig {
-            scale: 8,
-            edge_factor: 8,
-            seed: 7,
-            sources: 16,
-            group_size: 16,
-            threads: vec![1],
-            reorders: vec![ReorderKind::None, ReorderKind::HubCluster],
-            check: false,
-            ..CpuBenchConfig::default()
-        });
-        // baseline + pooled@none + pooled@hub, all matched one-to-one.
-        let diff = diff_reports(&base, &base, 0.0, None);
-        assert_eq!(diff.rows.len(), 3);
-        assert!(diff.passes());
-        assert!(diff.rows.iter().any(|r| r.reorder == "hub"));
-        let text = render_diff(&diff, "a", "b");
-        assert!(text.contains("pooled+hub"));
-        assert!(text.contains("reorder gate: base not run"));
-
-        // Tank only the reordered row: the unreordered rows must not
-        // absorb the regression, and the flagged row names its ordering.
-        let mut slow = base.clone();
-        for run in &mut slow.runs {
-            if run.reorder == "hub" {
-                run.teps *= 0.1;
-            }
-        }
-        let diff = diff_reports(&base, &slow, 5.0, None);
-        let regs = diff.regressions();
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].reorder, "hub");
-
-        // Dropping the reordered row from the candidate is a MISSING key
-        // spelled with its ordering, not a silent re-match against `none`.
-        let mut pruned = base.clone();
-        pruned.runs.retain(|r| r.reorder != "hub");
-        pruned.speedups.retain(|s| s.reorder != "hub");
-        let diff = diff_reports(&base, &pruned, 30.0, None);
-        assert!(!diff.passes());
-        assert_eq!(diff.missing, vec!["pooled+hub@1t".to_string()]);
-    }
-
-    #[test]
-    fn an_enforced_gate_lost_in_the_new_report_fails_the_check() {
-        let base = report();
-        let mut lost = base.clone();
-        lost.reorder_gate = ReorderGateStatus {
-            ran: true,
-            enforced: true,
-            passed: false,
-            reorder: "hub".to_string(),
-            threads: 2,
-            plain_teps: 2.0,
-            reordered_teps: 1.0,
-        };
-        let diff = diff_reports(&base, &lost, 30.0, None);
-        assert!(diff.regressions().is_empty() && diff.missing.is_empty());
-        assert!(!diff.passes());
-        assert!(render_diff(&diff, "a", "b").contains("enforced, LOST"));
-        // The candidate is judged on its own gates, not the base's.
-        assert!(diff_reports(&lost, &base, 30.0, None).passes());
     }
 
     #[test]

@@ -1,15 +1,20 @@
-//! Real multithreaded CPU implementations (§7, Figure 22, Table 1), rebuilt
+//! Real multithreaded CPU implementation (§7, Figure 22, Table 1), built
 //! around a persistent worker pool and a resident scratch arena.
 //!
-//! Two engines, both measured in *wall-clock* time rather than the GPU
-//! simulator's model:
+//! One service, [`CpuService`], configured by one options struct,
+//! [`CpuOptions`], and measured in *wall-clock* time rather than the GPU
+//! simulator's model. [`CpuOptions::msbfs`] picks between the two
+//! algorithms of Figure 22:
 //!
-//! * [`CpuIbfs`] — iBFS ported to CPUs as §7 describes: the same bitwise
+//! * `msbfs: false` — iBFS ported to CPUs as §7 describes: the same bitwise
 //!   status arrays, joint traversal and early termination, with atomic
 //!   fetch-OR for the multi-threaded bitwise updates.
-//! * [`CpuMsBfs`] — the MS-BFS baseline of Then et al. (VLDB'15): no early
+//! * `msbfs: true` — the MS-BFS baseline of Then et al. (VLDB'15): no early
 //!   termination, plus the per-level `visit`-map maintenance sweep the paper
 //!   attributes to `[26]`.
+//!
+//! Both run Beamer's fixed α/β direction switch
+//! ([`DirectionPolicy::default`]) on the graph's own vertex order.
 //!
 //! # Architecture
 //!
@@ -56,6 +61,9 @@
 //! `benchmark` workloads: tiled stayed within noise and async was slower
 //! on every workload, the high-diameter mesh included. Both were removed,
 //! so this loop is the only CPU engine (DESIGN.md, *CPU engine round 2*).
+//! Vertex reordering (degree, hub, RCM) and an online α/β tuner went the
+//! same way: neither won on those workloads, and every ordering raised
+//! peak RSS and set-up time past the benchmark's bounds (DESIGN.md §10).
 //!
 //! # Identification writes
 //!
@@ -107,13 +115,12 @@
 //! word width. Oversized or malformed groups are typed
 //! [`RequestError`]s, matching the GPU service's admission style.
 
-use crate::direction::{Direction, DirectionPolicy, DirectionTuner};
+use crate::direction::{Direction, DirectionPolicy};
 use crate::pool::{build_bounds, ChunkCursor, ClaimTally, WorkerPool};
 use crate::service::{admit_sources, RequestError};
 use crate::word::{
     AtomicStatus, AtomicW128, AtomicW256, AtomicW32, AtomicW64, StatusWord, WordWidth,
 };
-use ibfs_graph::reorder::{ReorderKind, VertexPerm};
 use ibfs_graph::{Csr, Depth, VertexId, DEPTH_UNVISITED};
 use ibfs_obs::{EngineProfiler, ProfPhase};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -147,13 +154,6 @@ const DIRECT_WRITE_MAX: u32 = 4;
 /// graphs with mild degree skew. The autotuner raises this on skewed
 /// graphs (see [`autotune_chunks_per_lane`]).
 const STEAL_CHUNKS_PER_LANE: usize = 8;
-
-/// Seed for the RCM pseudo-peripheral root search (see
-/// [`ibfs_graph::reorder::VertexPerm::rcm`]). Fixed so every service built
-/// over the same graph with [`ReorderKind::Rcm`] uses the same labeling —
-/// reorderings must be reproducible for the differential walls and the
-/// committed bench trajectory to be meaningful.
-pub const REORDER_SEED: u64 = 42;
 
 /// Frontier occupancy divisor for the adaptive frontier representation: a
 /// level whose queue holds at least `n / DENSE_FRONTIER_DIV` vertices is
@@ -200,10 +200,8 @@ impl CpuRun {
 }
 
 /// Full configuration of a [`CpuService`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CpuOptions {
-    /// Direction-switch policy (group-wide).
-    pub policy: DirectionPolicy,
     /// Worker threads; 0 = all available.
     pub threads: usize,
     /// Cap on traversal levels; 0 means unlimited.
@@ -213,117 +211,6 @@ pub struct CpuOptions {
     /// MS-BFS semantics instead of iBFS: no bottom-up early termination,
     /// plus the per-level visit-map maintenance sweep.
     pub msbfs: bool,
-    /// Vertex reordering applied once at service build: the CSR is
-    /// relabeled for locality, sources map in at [`CpuService::run_group`]
-    /// and depths map back out, so results are bit-identical to the
-    /// unreordered engines (pinned by `tests/reorder_differential.rs`).
-    pub reorder: ReorderKind,
-    /// Online α/β direction autotuning from measured per-direction phase
-    /// cost over the first groups of the service's lifetime (see
-    /// [`DirectionTuner`]). Off by default; results are unaffected either
-    /// way — depths are invariant to the direction schedule.
-    pub adaptive: bool,
-}
-
-impl Default for CpuOptions {
-    fn default() -> Self {
-        CpuOptions {
-            policy: DirectionPolicy::default(),
-            threads: 0,
-            max_levels: 0,
-            width: WordWidth::default(),
-            msbfs: false,
-            reorder: ReorderKind::None,
-            adaptive: false,
-        }
-    }
-}
-
-/// The CPU port of bitwise iBFS.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CpuIbfs {
-    /// Direction-switch policy (group-wide).
-    pub policy: DirectionPolicy,
-    /// Worker threads; 0 = all available.
-    pub threads: usize,
-    /// Cap on traversal levels; 0 means unlimited.
-    pub max_levels: u32,
-    /// Status-word width (group capacity).
-    pub width: WordWidth,
-    /// Vertex reordering applied at service build.
-    pub reorder: ReorderKind,
-    /// Online α/β direction autotuning.
-    pub adaptive: bool,
-}
-
-impl CpuIbfs {
-    /// Builds a resident [`CpuService`] (pool + arena spawned once) serving
-    /// group after group against `csr`/`rev`.
-    pub fn service<'g>(&self, csr: &'g Csr, rev: &'g Csr) -> CpuService<'g> {
-        CpuService::new(csr, rev, CpuOptions {
-            policy: self.policy,
-            threads: self.threads,
-            max_levels: self.max_levels,
-            width: self.width,
-            msbfs: false,
-            reorder: self.reorder,
-            adaptive: self.adaptive,
-        })
-    }
-
-    /// Runs one group through a transient service. Prefer
-    /// [`CpuIbfs::service`] + [`CpuService::run_group`] when running many
-    /// groups, which reuses the pool and arena.
-    pub fn run_group(
-        &self,
-        csr: &Csr,
-        rev: &Csr,
-        sources: &[VertexId],
-    ) -> Result<CpuRun, RequestError> {
-        self.service(csr, rev).run_group(sources)
-    }
-}
-
-/// The MS-BFS baseline on CPUs.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CpuMsBfs {
-    /// Direction-switch policy (group-wide).
-    pub policy: DirectionPolicy,
-    /// Worker threads; 0 = all available.
-    pub threads: usize,
-    /// Cap on traversal levels; 0 means unlimited.
-    pub max_levels: u32,
-    /// Status-word width (group capacity).
-    pub width: WordWidth,
-}
-
-impl CpuMsBfs {
-    /// Builds a resident [`CpuService`] running MS-BFS semantics (no early
-    /// termination, per-level visit-map sweep).
-    pub fn service<'g>(&self, csr: &'g Csr, rev: &'g Csr) -> CpuService<'g> {
-        CpuService::new(csr, rev, CpuOptions {
-            policy: self.policy,
-            threads: self.threads,
-            max_levels: self.max_levels,
-            width: self.width,
-            // MS-BFS is the fixed baseline of Figure 22; it never runs
-            // reordered or adaptive.
-            msbfs: true,
-            reorder: ReorderKind::None,
-            adaptive: false,
-        })
-    }
-
-    /// Runs one group through a transient service; see
-    /// [`CpuIbfs::run_group`].
-    pub fn run_group(
-        &self,
-        csr: &Csr,
-        rev: &Csr,
-        sources: &[VertexId],
-    ) -> Result<CpuRun, RequestError> {
-        self.service(csr, rev).run_group(sources)
-    }
 }
 
 /// Counters accumulated by a [`CpuService`] across its lifetime.
@@ -351,17 +238,10 @@ pub struct CpuStats {
     pub dense_levels: u64,
     /// Levels that kept the sparse lane-order queue.
     pub sparse_levels: u64,
-    /// Microseconds spent in top-down traversal phases (tuner input).
+    /// Microseconds spent in top-down traversal phases.
     pub td_micros: u64,
-    /// Microseconds spent in bottom-up traversal phases (tuner input).
+    /// Microseconds spent in bottom-up traversal phases.
     pub bu_micros: u64,
-    /// α/β retunes applied by the adaptive direction tuner.
-    pub retunes: u64,
-    /// Current effective α in milli-units (`u64::MAX` for +inf); 0 until
-    /// the first group runs with the tuner attached.
-    pub tuned_alpha_milli: u64,
-    /// Current effective β in milli-units; 0 until the first tuned group.
-    pub tuned_beta_milli: u64,
 }
 
 /// Point-in-time view of a service's counters, including its pool.
@@ -511,15 +391,6 @@ fn autotune_chunks_per_lane(csr: &Csr) -> usize {
     }
 }
 
-/// The relabeled graphs and permutation a reordered service runs on.
-/// Built once at [`CpuService::new`]; the borrowed originals stay the
-/// admission/result space.
-struct Reordered {
-    csr: Csr,
-    rev: Csr,
-    perm: VertexPerm,
-}
-
 /// A resident CPU traversal service: persistent pool + reusable arena
 /// serving group after group against one graph.
 pub struct CpuService<'g> {
@@ -535,10 +406,6 @@ pub struct CpuService<'g> {
     /// When set, every phase of every level records per-lane
     /// [`PhaseRecord`](ibfs_obs::PhaseRecord)s into it.
     profiler: Option<Arc<EngineProfiler>>,
-    /// Relabeled graphs + permutation when [`CpuOptions::reorder`] is set.
-    reordered: Option<Box<Reordered>>,
-    /// Online α/β tuner when [`CpuOptions::adaptive`] is set.
-    tuner: Option<DirectionTuner>,
 }
 
 impl<'g> CpuService<'g> {
@@ -555,15 +422,6 @@ impl<'g> CpuService<'g> {
             WordWidth::W128 => ArenaAny::W128(Arena::new(n)),
             WordWidth::W256 => ArenaAny::W256(Arena::new(n)),
         };
-        // Relabel once at build: every group then runs in permuted space
-        // against the relabeled CSR pair; the borrowed originals stay the
-        // admission and result space. Degrees are permutation-invariant,
-        // so the steal-chunk autotuner sees the same histogram either way.
-        let reordered = VertexPerm::build(opts.reorder, csr, REORDER_SEED).map(|perm| {
-            let rcsr = perm.apply(csr);
-            let rrev = rcsr.reverse();
-            Box::new(Reordered { csr: rcsr, rev: rrev, perm })
-        });
         CpuService {
             csr,
             rev,
@@ -574,8 +432,6 @@ impl<'g> CpuService<'g> {
             stats: CpuStats::default(),
             chunks_per_lane: autotune_chunks_per_lane(csr),
             profiler: None,
-            reordered,
-            tuner: opts.adaptive.then(|| DirectionTuner::new(opts.policy)),
         }
     }
 
@@ -636,18 +492,9 @@ impl<'g> CpuService<'g> {
             0.0
         };
         registry.gauge("ibfs_cpu_steal_balance").set(balance);
-        // Round-3 families: locality (reordering, frontier rep) and the
-        // adaptive direction tuner.
-        registry
-            .gauge(&ibfs_obs::labeled("ibfs_cpu_reorder", &[("kind", self.opts.reorder.name())]))
-            .set(1.0);
+        // The adaptive frontier representation's level split.
         registry.counter("ibfs_cpu_dense_levels_total").add(s.stats.dense_levels);
         registry.counter("ibfs_cpu_sparse_levels_total").add(s.stats.sparse_levels);
-        registry.counter("ibfs_cpu_retunes_total").add(s.stats.retunes);
-        if s.stats.tuned_alpha_milli > 0 && s.stats.tuned_alpha_milli != u64::MAX {
-            registry.gauge("ibfs_cpu_tuned_alpha").set(s.stats.tuned_alpha_milli as f64 / 1000.0);
-            registry.gauge("ibfs_cpu_tuned_beta").set(s.stats.tuned_beta_milli as f64 / 1000.0);
-        }
     }
 
     /// Validates a group without running it.
@@ -665,134 +512,16 @@ impl<'g> CpuService<'g> {
     /// its own instance bit).
     pub fn run_group(&mut self, sources: &[VertexId]) -> Result<CpuRun, RequestError> {
         self.admit(sources)?;
-        let mut opts = self.opts;
-        if let Some(t) = &self.tuner {
-            // Adaptive mode: this group runs under the tuner's current
-            // α/β. Depths are invariant to the direction schedule, so no
-            // tuner state can change a result bit.
-            opts.policy = t.policy();
-        }
-        let prof = self.profiler.as_deref();
-        // One timeline track for the reorder map phases of this group (the
-        // engine run opens its own).
-        let map_track = match (&self.reordered, prof) {
-            (Some(_), Some(p)) => p.open_track(),
-            _ => 0,
-        };
-        // Map the group into permuted space: one lookup per instance.
-        let mapped: Vec<VertexId>;
-        let (csr, rev, run_sources): (&Csr, &Csr, &[VertexId]) = match &self.reordered {
-            Some(r) => {
-                let t0 = prof.map(|p| p.begin());
-                mapped = r.perm.map_sources(sources);
-                if let (Some(p), Some(t0)) = (prof, t0) {
-                    p.record(
-                        map_track,
-                        0,
-                        0,
-                        ProfPhase::MapIn,
-                        t0.start_s(),
-                        t0.elapsed_s(),
-                        sources.len() as u64,
-                        0,
-                    );
-                }
-                (&r.csr, &r.rev, &mapped)
-            }
-            None => (self.csr, self.rev, sources),
-        };
-        let pool = &self.pool;
-        let stats = &mut self.stats;
-        let tuner_before = (stats.td_micros, stats.td_chunks, stats.bu_micros, stats.bu_chunks);
-        let scratch = &mut self.scratch;
-        let cx = RunCx { chunks_per_lane: self.chunks_per_lane, prof };
-        let mut run = match &self.arena {
-            ArenaAny::W32(a) => run_width(csr, rev, opts, pool, a, scratch, stats, cx, run_sources),
-            ArenaAny::W64(a) => run_width(csr, rev, opts, pool, a, scratch, stats, cx, run_sources),
-            ArenaAny::W128(a) => run_width(csr, rev, opts, pool, a, scratch, stats, cx, run_sources),
-            ArenaAny::W256(a) => run_width(csr, rev, opts, pool, a, scratch, stats, cx, run_sources),
-        };
-        if let Some(r) = &self.reordered {
-            map_depths_out(&mut run, &r.perm, pool, &self.scratch.cursor, prof, map_track);
-        }
-        if let Some(t) = &mut self.tuner {
-            let (td0, tdc0, bu0, buc0) = tuner_before;
-            let s = &mut self.stats;
-            let moved = t.observe(
-                (s.td_micros - td0) as f64 * 1e-6,
-                s.td_chunks - tdc0,
-                (s.bu_micros - bu0) as f64 * 1e-6,
-                s.bu_chunks - buc0,
-            );
-            let policy = t.policy();
-            if moved {
-                s.retunes = t.retunes();
-                if let Some(p) = prof {
-                    let t0 = p.begin();
-                    p.record(
-                        map_track,
-                        0,
-                        0,
-                        ProfPhase::Retune,
-                        t0.start_s(),
-                        0.0,
-                        milli(policy.alpha),
-                        milli(policy.beta),
-                    );
-                }
-            }
-            s.tuned_alpha_milli = milli(policy.alpha);
-            s.tuned_beta_milli = milli(policy.beta);
-        }
-        Ok(run)
+        let (csr, rev, opts, pool) = (self.csr, self.rev, self.opts, &self.pool);
+        let (scratch, stats) = (&mut self.scratch, &mut self.stats);
+        let cx = RunCx { chunks_per_lane: self.chunks_per_lane, prof: self.profiler.as_deref() };
+        Ok(match &self.arena {
+            ArenaAny::W32(a) => run_width(csr, rev, opts, pool, a, scratch, stats, cx, sources),
+            ArenaAny::W64(a) => run_width(csr, rev, opts, pool, a, scratch, stats, cx, sources),
+            ArenaAny::W128(a) => run_width(csr, rev, opts, pool, a, scratch, stats, cx, sources),
+            ArenaAny::W256(a) => run_width(csr, rev, opts, pool, a, scratch, stats, cx, sources),
+        })
     }
-}
-
-/// `α`/`β` in milli-units for the u64-only stats and profiler counters
-/// (`+inf` saturates to `u64::MAX`).
-fn milli(x: f64) -> u64 {
-    if x.is_finite() { (x * 1000.0).round() as u64 } else { u64::MAX }
-}
-
-/// Rewrites a reordered run's depth table back to original vertex ids:
-/// `out[j][old] = depths[j][perm[old]]`, parallelized over vertex chunks on
-/// the pool. `traversed_edges` needs no rework — it sums out-degrees of
-/// visited cells, and both are permutation-invariant.
-fn map_depths_out(
-    run: &mut CpuRun,
-    perm: &VertexPerm,
-    pool: &WorkerPool,
-    cursor: &ChunkCursor,
-    prof: Option<&EngineProfiler>,
-    track: u64,
-) {
-    let n = run.num_vertices;
-    let ni = run.num_instances;
-    let src = std::mem::take(&mut run.depths);
-    let mut out = vec![DEPTH_UNVISITED; ni * n];
-    let chunks = n.div_ceil(CHUNK);
-    let table = DepthTable(out.as_mut_ptr());
-    let forward = perm.perm();
-    cursor.reset();
-    pool.run_profiled(prof, track, 0, ProfPhase::MapOut, |_lane| {
-        let mut cells = 0u64;
-        while let Some(c) = cursor.claim(chunks) {
-            let range = chunk_range(c, n);
-            // Rows outer, vertices inner: each row's slice of the chunk is
-            // written sequentially instead of one cell per row per vertex.
-            for j in 0..ni {
-                let row = &src[j * n..(j + 1) * n];
-                for old in range.clone() {
-                    // SAFETY: chunks of `old` are claimed exclusively, so
-                    // every (j, old) cell has a single writer.
-                    unsafe { table.set(j * n + old, row[forward[old] as usize]) };
-                }
-            }
-            cells += (ni * range.len()) as u64;
-        }
-        (cells, ni as u64)
-    });
-    run.depths = out;
 }
 
 /// Autotuned per-service parameters threaded into the level loop.
@@ -1023,8 +752,8 @@ fn run_width<A: AtomicStatus>(
                 stats.steal_max_chunks += mx;
             }
         }
-        // Per-direction wall time feeds the α/β autotuner (and the
-        // td/bu breakdown in the stats snapshot).
+        // Per-direction wall time feeds the td/bu breakdown in the stats
+        // snapshot.
         let traversal_micros = traversal_start.elapsed().as_micros() as u64;
         match direction {
             Direction::TopDown => stats.td_micros += traversal_micros,
@@ -1140,7 +869,7 @@ fn run_width<A: AtomicStatus>(
         visited_edges += new_edges;
         frontier_edges = new_edges;
 
-        let next_direction = opts.policy.next(
+        let next_direction = DirectionPolicy::default().next(
             direction,
             frontier_edges,
             new_marked,
@@ -1266,11 +995,21 @@ mod tests {
     use ibfs_graph::suite::{figure1, FIGURE1_SOURCES};
     use ibfs_graph::validate::reference_bfs;
 
+    /// Runs one group through a transient service.
+    fn run_once(
+        g: &Csr,
+        r: &Csr,
+        opts: CpuOptions,
+        sources: &[VertexId],
+    ) -> Result<CpuRun, RequestError> {
+        CpuService::new(g, r, opts).run_group(sources)
+    }
+
     #[test]
     fn cpu_ibfs_matches_reference_figure1() {
         let g = figure1();
         let r = g.reverse();
-        let run = CpuIbfs::default().run_group(&g, &r, &FIGURE1_SOURCES).unwrap();
+        let run = run_once(&g, &r, CpuOptions::default(), &FIGURE1_SOURCES).unwrap();
         for (j, &s) in FIGURE1_SOURCES.iter().enumerate() {
             assert_eq!(run.instance_depths(j), &reference_bfs(&g, s)[..]);
         }
@@ -1282,7 +1021,8 @@ mod tests {
     fn cpu_msbfs_matches_reference_figure1() {
         let g = figure1();
         let r = g.reverse();
-        let run = CpuMsBfs::default().run_group(&g, &r, &FIGURE1_SOURCES).unwrap();
+        let msbfs = CpuOptions { msbfs: true, ..Default::default() };
+        let run = run_once(&g, &r, msbfs, &FIGURE1_SOURCES).unwrap();
         for (j, &s) in FIGURE1_SOURCES.iter().enumerate() {
             assert_eq!(run.instance_depths(j), &reference_bfs(&g, s)[..]);
         }
@@ -1293,10 +1033,9 @@ mod tests {
         let g = rmat(9, 8, RmatParams::graph500(), 19);
         let r = g.reverse();
         let sources: Vec<VertexId> = (0..64).collect();
-        for run in [
-            CpuIbfs { threads: 3, ..Default::default() }.run_group(&g, &r, &sources).unwrap(),
-            CpuMsBfs { threads: 3, ..Default::default() }.run_group(&g, &r, &sources).unwrap(),
-        ] {
+        for msbfs in [false, true] {
+            let opts = CpuOptions { threads: 3, msbfs, ..Default::default() };
+            let run = run_once(&g, &r, opts, &sources).unwrap();
             for (j, &s) in sources.iter().enumerate() {
                 assert_eq!(
                     run.instance_depths(j),
@@ -1314,9 +1053,8 @@ mod tests {
         let r = g.reverse();
         let sources: Vec<VertexId> = (0..30).collect();
         for width in WordWidth::all() {
-            let run = CpuIbfs { width, threads: 2, ..Default::default() }
-                .run_group(&g, &r, &sources)
-                .unwrap();
+            let opts = CpuOptions { width, threads: 2, ..Default::default() };
+            let run = run_once(&g, &r, opts, &sources).unwrap();
             for (j, &s) in sources.iter().enumerate() {
                 assert_eq!(
                     run.instance_depths(j),
@@ -1332,8 +1070,8 @@ mod tests {
         let g = rmat(8, 8, RmatParams::graph500(), 5);
         let r = g.reverse();
         let sources: Vec<VertexId> = (0..128).collect();
-        let mut svc = CpuIbfs { width: WordWidth::W256, threads: 2, ..Default::default() }
-            .service(&g, &r);
+        let opts = CpuOptions { width: WordWidth::W256, threads: 2, ..Default::default() };
+        let mut svc = CpuService::new(&g, &r, opts);
         assert_eq!(svc.capacity(), 256);
         let run = svc.run_group(&sources).unwrap();
         assert_eq!(run.num_instances, 128);
@@ -1391,9 +1129,8 @@ mod tests {
             }
             let expected_edges = crate::engine::traversed_edges_for(&g, &refs.concat(), refs.len());
             for threads in [1, 3] {
-                let run = CpuIbfs { width: WordWidth::W256, threads, ..Default::default() }
-                    .run_group(&g, &r, &sources)
-                    .unwrap();
+                let wide = CpuOptions { width: WordWidth::W256, threads, ..Default::default() };
+                let run = run_once(&g, &r, wide, &sources).unwrap();
                 for (j, d) in refs.iter().enumerate() {
                     assert_eq!(run.instance_depths(j), &d[..], "n={n} threads={threads} row {j}");
                 }
@@ -1411,7 +1148,8 @@ mod tests {
                     false,
                     0,
                 );
-                let run = CpuIbfs { threads, ..Default::default() }.run_group(&g, &r, mixed).unwrap();
+                let narrow = CpuOptions { threads, ..Default::default() };
+                let run = run_once(&g, &r, narrow, mixed).unwrap();
                 assert_eq!(run.depths, baseline.depths, "n={n} threads={threads}");
                 assert_eq!(run.traversed_edges, baseline.traversed_edges, "n={n} threads={threads}");
             }
@@ -1422,7 +1160,7 @@ mod tests {
     fn duplicate_sources_each_get_a_lane() {
         let g = figure1();
         let r = g.reverse();
-        let run = CpuIbfs::default().run_group(&g, &r, &[0, 8, 0]).unwrap();
+        let run = run_once(&g, &r, CpuOptions::default(), &[0, 8, 0]).unwrap();
         assert_eq!(run.instance_depths(0), &reference_bfs(&g, 0)[..]);
         assert_eq!(run.instance_depths(1), &reference_bfs(&g, 8)[..]);
         assert_eq!(run.instance_depths(2), &reference_bfs(&g, 0)[..]);
@@ -1432,7 +1170,8 @@ mod tests {
     fn single_thread_works() {
         let g = figure1();
         let r = g.reverse();
-        let run = CpuIbfs { threads: 1, ..Default::default() }.run_group(&g, &r, &[0, 8]).unwrap();
+        let opts = CpuOptions { threads: 1, ..Default::default() };
+        let run = run_once(&g, &r, opts, &[0, 8]).unwrap();
         assert_eq!(run.instance_depths(0), &reference_bfs(&g, 0)[..]);
         assert_eq!(run.instance_depths(1), &reference_bfs(&g, 8)[..]);
     }
@@ -1440,15 +1179,18 @@ mod tests {
     #[test]
     fn service_reuse_is_identical_across_groups() {
         // Arena reuse across groups must not leak state: run the same group
-        // twice with a different group in between.
+        // twice with a different group in between. The duplicate source
+        // keeps its own instance slot on every run.
         let g = rmat(8, 8, RmatParams::graph500(), 31);
         let r = g.reverse();
-        let mut svc = CpuIbfs { threads: 3, ..Default::default() }.service(&g, &r);
-        let first = svc.run_group(&[0, 7, 40]).unwrap();
+        let mut svc = CpuService::new(&g, &r, CpuOptions { threads: 3, ..Default::default() });
+        let first = svc.run_group(&[0, 7, 0, 40]).unwrap();
         let other = svc.run_group(&[99, 3]).unwrap();
-        let again = svc.run_group(&[0, 7, 40]).unwrap();
+        let again = svc.run_group(&[0, 7, 0, 40]).unwrap();
         assert_eq!(first.depths, again.depths);
         assert_eq!(first.traversed_edges, again.traversed_edges);
+        assert_eq!(first.instance_depths(0), first.instance_depths(2));
+        assert_eq!(first.instance_depths(0), &reference_bfs(&g, 0)[..]);
         assert_eq!(other.num_instances, 2);
         assert_eq!(svc.stats().stats.groups, 3);
     }
@@ -1458,7 +1200,7 @@ mod tests {
         let g = rmat(7, 8, RmatParams::graph500(), 23);
         let r = g.reverse();
         let sources: Vec<VertexId> = (0..40).collect();
-        let mut svc = CpuIbfs::default().service(&g, &r);
+        let mut svc = CpuService::new(&g, &r, CpuOptions::default());
         let runs: Vec<CpuRun> = sources.chunks(16).map(|group| svc.run_group(group).unwrap()).collect();
         assert_eq!(runs.len(), 3);
         assert_eq!(runs.iter().map(|r| r.num_instances).sum::<usize>(), 40);
@@ -1472,19 +1214,18 @@ mod tests {
         let r = g.reverse();
         let sources: Vec<VertexId> = (0..65).map(|i| i % 9).collect();
         assert_eq!(
-            CpuIbfs::default().run_group(&g, &r, &sources).unwrap_err(),
+            run_once(&g, &r, CpuOptions::default(), &sources).unwrap_err(),
             RequestError::GroupTooLarge { size: 65, capacity: 64 }
         );
         // Width caps below CPU_GROUP too.
         let sources33: Vec<VertexId> = (0..33).map(|i| i % 9).collect();
         assert_eq!(
-            CpuIbfs { width: WordWidth::W32, ..Default::default() }
-                .run_group(&g, &r, &sources33)
+            run_once(&g, &r, CpuOptions { width: WordWidth::W32, ..Default::default() }, &sources33)
                 .unwrap_err(),
             RequestError::GroupTooLarge { size: 33, capacity: 32 }
         );
         // And the service survives a rejected group.
-        let mut svc = CpuIbfs::default().service(&g, &r);
+        let mut svc = CpuService::new(&g, &r, CpuOptions::default());
         assert!(svc.run_group(&(0..65).map(|i| i % 9).collect::<Vec<_>>()).is_err());
         assert!(svc.run_group(&[0]).is_ok());
     }
@@ -1494,11 +1235,11 @@ mod tests {
         let g = figure1();
         let r = g.reverse();
         assert_eq!(
-            CpuIbfs::default().run_group(&g, &r, &[]).unwrap_err(),
+            run_once(&g, &r, CpuOptions::default(), &[]).unwrap_err(),
             RequestError::EmptySources
         );
         assert_eq!(
-            CpuIbfs::default().run_group(&g, &r, &[0, 100]).unwrap_err(),
+            run_once(&g, &r, CpuOptions::default(), &[0, 100]).unwrap_err(),
             RequestError::SourceOutOfRange { source: 100, num_vertices: 9 }
         );
     }
@@ -1509,7 +1250,7 @@ mod tests {
         // engine lifetime, not per level or per group.
         let g = rmat(9, 8, RmatParams::graph500(), 19);
         let r = g.reverse();
-        let mut svc = CpuIbfs { threads: 3, ..Default::default() }.service(&g, &r);
+        let mut svc = CpuService::new(&g, &r, CpuOptions { threads: 3, ..Default::default() });
         assert_eq!(svc.pool().spawned_threads(), 2);
         let after_construction = crate::pool::threads_spawned_here();
         let sources: Vec<VertexId> = (0..60).collect();
@@ -1520,6 +1261,7 @@ mod tests {
         // Three groups, many levels each: no new OS threads anywhere.
         assert_eq!(crate::pool::threads_spawned_here(), after_construction);
         assert_eq!(svc.stats().stats.groups, 3);
+        assert!(svc.stats().stats.td_micros > 0, "top-down phases were timed");
         assert!(svc.stats().pool_phases > 0);
     }
 
@@ -1527,7 +1269,8 @@ mod tests {
     fn stats_and_metrics_record_pool_activity() {
         let g = rmat(8, 8, RmatParams::graph500(), 3);
         let r = g.reverse();
-        let mut svc = CpuMsBfs { threads: 2, ..Default::default() }.service(&g, &r);
+        let opts = CpuOptions { threads: 2, msbfs: true, ..Default::default() };
+        let mut svc = CpuService::new(&g, &r, opts);
         assert!(svc.chunks_per_lane() >= STEAL_CHUNKS_PER_LANE);
         svc.run_group(&[0, 1, 2]).unwrap();
         let s = svc.stats();
@@ -1543,42 +1286,8 @@ mod tests {
         assert_eq!(snap.counter("ibfs_cpu_levels_total"), Some(s.stats.levels));
         assert_eq!(snap.counter("ibfs_cpu_pool_phases_total"), Some(s.pool_phases));
         assert!(snap.gauge("ibfs_cpu_steal_balance").unwrap() >= 1.0);
-    }
-
-    #[test]
-    fn reordered_service_is_bit_identical_for_every_kind() {
-        let g = rmat(8, 8, RmatParams::graph500(), 11);
-        let r = g.reverse();
-        let sources: Vec<VertexId> = (0..24).collect();
-        let plain = CpuIbfs { threads: 2, ..Default::default() }
-            .run_group(&g, &r, &sources)
-            .unwrap();
-        for reorder in ReorderKind::all() {
-            let run = CpuIbfs { threads: 2, reorder, ..Default::default() }
-                .run_group(&g, &r, &sources)
-                .unwrap();
-            assert_eq!(run.depths, plain.depths, "{reorder}: depths diverge");
-            assert_eq!(run.traversed_edges, plain.traversed_edges, "{reorder}");
-            for (j, &s) in sources.iter().enumerate() {
-                assert_eq!(run.instance_depths(j), &reference_bfs(&g, s)[..], "{reorder}/{s}");
-            }
-        }
-    }
-
-    #[test]
-    fn reordered_service_reuse_and_duplicates_stay_exact() {
-        // Arena reuse + the map-in/map-out pair across groups, with
-        // duplicate sources keeping their instance slots.
-        let g = rmat(8, 8, RmatParams::graph500(), 31);
-        let r = g.reverse();
-        let mut svc = CpuIbfs { threads: 3, reorder: ReorderKind::HubCluster, ..Default::default() }
-            .service(&g, &r);
-        let first = svc.run_group(&[0, 7, 0, 40]).unwrap();
-        svc.run_group(&[99, 3]).unwrap();
-        let again = svc.run_group(&[0, 7, 0, 40]).unwrap();
-        assert_eq!(first.depths, again.depths);
-        assert_eq!(first.instance_depths(0), first.instance_depths(2));
-        assert_eq!(first.instance_depths(0), &reference_bfs(&g, 0)[..]);
+        assert_eq!(snap.counter("ibfs_cpu_dense_levels_total"), Some(s.stats.dense_levels));
+        assert_eq!(snap.counter("ibfs_cpu_sparse_levels_total"), Some(s.stats.sparse_levels));
     }
 
     #[test]
@@ -1587,85 +1296,12 @@ mod tests {
         // levels) but starts from a single source (sparse level 1).
         let g = rmat(9, 8, RmatParams::graph500(), 19);
         let r = g.reverse();
-        let mut svc = CpuIbfs { threads: 2, ..Default::default() }.service(&g, &r);
+        let mut svc = CpuService::new(&g, &r, CpuOptions { threads: 2, ..Default::default() });
         let run = svc.run_group(&[0]).unwrap();
         let s = svc.stats().stats;
         assert_eq!(s.dense_levels + s.sparse_levels, run.level_seconds.len() as u64);
         assert!(s.sparse_levels > 0, "level 1 of a single source is sparse");
         assert!(s.dense_levels > 0, "an R-MAT flood level must go dense");
         assert_eq!(run.instance_depths(0), &reference_bfs(&g, 0)[..]);
-    }
-
-    #[test]
-    fn adaptive_tuner_is_bounded_recorded_and_result_invariant() {
-        let g = rmat(9, 8, RmatParams::graph500(), 23);
-        let r = g.reverse();
-        let sources: Vec<VertexId> = (0..32).collect();
-        let plain = CpuIbfs { threads: 2, ..Default::default() }
-            .run_group(&g, &r, &sources)
-            .unwrap();
-        let mut svc =
-            CpuIbfs { threads: 2, adaptive: true, ..Default::default() }.service(&g, &r);
-        for _ in 0..6 {
-            let run = svc.run_group(&sources).unwrap();
-            assert_eq!(run.depths, plain.depths, "tuning must never move a depth");
-            assert_eq!(run.traversed_edges, plain.traversed_edges);
-        }
-        let s = svc.stats().stats;
-        assert!(s.td_micros > 0, "top-down phases were timed");
-        assert!(s.retunes <= crate::direction::tune::TUNE_GROUPS);
-        // The recorded policy is live and inside the clamp.
-        let alpha = s.tuned_alpha_milli as f64 / 1000.0;
-        let beta = s.tuned_beta_milli as f64 / 1000.0;
-        assert!(alpha >= crate::direction::tune::MIN && alpha <= crate::direction::tune::MAX);
-        assert!(beta >= crate::direction::tune::MIN && beta <= crate::direction::tune::MAX);
-    }
-
-    #[test]
-    fn reordered_and_adaptive_metrics_families_are_emitted() {
-        let g = rmat(8, 8, RmatParams::graph500(), 3);
-        let r = g.reverse();
-        let mut svc = CpuIbfs {
-            threads: 2,
-            reorder: ReorderKind::DegreeDesc,
-            adaptive: true,
-            ..Default::default()
-        }
-        .service(&g, &r);
-        svc.run_group(&[0, 1, 2]).unwrap();
-        let s = svc.stats().stats;
-        let registry = ibfs_obs::Registry::new();
-        svc.record_metrics(&registry);
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter("ibfs_cpu_dense_levels_total"),
-            Some(s.dense_levels)
-        );
-        assert_eq!(
-            snap.counter("ibfs_cpu_sparse_levels_total"),
-            Some(s.sparse_levels)
-        );
-        assert_eq!(
-            snap.gauge("ibfs_cpu_reorder{kind=\"degree\"}"),
-            Some(1.0),
-            "reorder kind gauge missing"
-        );
-        assert!(snap.gauge("ibfs_cpu_tuned_alpha").is_some());
-    }
-
-    #[test]
-    fn reordered_profiled_run_records_map_phases() {
-        let g = rmat(8, 8, RmatParams::graph500(), 9);
-        let r = g.reverse();
-        let prof = ibfs_obs::EngineProfiler::shared();
-        let mut svc = CpuIbfs { threads: 2, reorder: ReorderKind::Rcm, ..Default::default() }
-            .service(&g, &r);
-        svc.set_profiler(prof.clone());
-        svc.run_group(&[0, 1, 2, 3]).unwrap();
-        let report = prof.report("cpu-reorder-test");
-        report.validate().expect("profile validates");
-        let phases = report.phases();
-        assert!(phases.contains(&ProfPhase::MapIn), "MapIn missing: {phases:?}");
-        assert!(phases.contains(&ProfPhase::MapOut), "MapOut missing: {phases:?}");
     }
 }

@@ -90,118 +90,6 @@ impl Default for DirectionPolicy {
     }
 }
 
-/// Bounds and step of the online α/β autotuner.
-pub mod tune {
-    /// Groups observed before the tuner freezes.
-    pub const TUNE_GROUPS: u64 = 4;
-    /// Lower clamp for both α and β.
-    pub const MIN: f64 = 4.0;
-    /// Upper clamp for both α and β.
-    pub const MAX: f64 = 64.0;
-    /// Multiplicative adjustment per retune.
-    pub const STEP: f64 = 1.25;
-    /// Deadband around a cost ratio of 1.0: measured ratios inside
-    /// `[1/DEADBAND, DEADBAND]` are treated as noise and not acted on.
-    pub const DEADBAND: f64 = 1.25;
-}
-
-/// Online α/β autotuner driven by measured per-direction phase cost.
-///
-/// The Beamer thresholds encode a cost model: switch to bottom-up when
-/// scanning the unvisited set becomes cheaper than expanding the frontier.
-/// The right constants depend on the machine and the layout — exactly what
-/// the profiler measures. The tuner watches the first
-/// [`tune::TUNE_GROUPS`] groups of a service's lifetime and compares the
-/// measured *per steal-chunk* cost of bottom-up sweeps against top-down
-/// expansions (steal chunks are degree-balanced, so they are a
-/// unit-of-work proxy that is valid across directions):
-///
-/// * bottom-up measurably cheaper → raise α (switch earlier) and lower β
-///   (switch back later);
-/// * bottom-up measurably dearer → the reverse.
-///
-/// Every move is one bounded multiplicative [`tune::STEP`], clamped to
-/// `[`[`tune::MIN`]`, `[`tune::MAX`]`]`, with a deadband so timing noise
-/// near parity never causes churn; after the window the policy is frozen.
-/// The wall-clock inputs are inherently nondeterministic, but the tuner's
-/// *decision function* is deterministic in them, its excursion is bounded
-/// by clamp and window, and — the invariant the differential walls pin —
-/// BFS depths are independent of the direction schedule, so no tuner state
-/// can ever change a result bit.
-#[derive(Clone, Copy, Debug)]
-pub struct DirectionTuner {
-    policy: DirectionPolicy,
-    groups_seen: u64,
-    retunes: u64,
-}
-
-impl DirectionTuner {
-    /// Starts from `initial` (usually the configured policy).
-    pub fn new(initial: DirectionPolicy) -> Self {
-        DirectionTuner { policy: initial, groups_seen: 0, retunes: 0 }
-    }
-
-    /// The current (possibly retuned) policy to run the next group with.
-    pub fn policy(&self) -> DirectionPolicy {
-        self.policy
-    }
-
-    /// Whether the observation window is exhausted.
-    pub fn frozen(&self) -> bool {
-        self.groups_seen >= tune::TUNE_GROUPS
-    }
-
-    /// Retunes applied so far.
-    pub fn retunes(&self) -> u64 {
-        self.retunes
-    }
-
-    /// Feeds one group's measured phase totals: seconds and degree-balanced
-    /// steal chunks claimed, per direction. Returns `true` when α/β moved.
-    /// Groups that never ran both directions (or ran them too briefly to
-    /// time) advance the window without moving anything.
-    pub fn observe(
-        &mut self,
-        td_seconds: f64,
-        td_chunks: u64,
-        bu_seconds: f64,
-        bu_chunks: u64,
-    ) -> bool {
-        if self.frozen() {
-            return false;
-        }
-        self.groups_seen += 1;
-        if td_chunks == 0 || bu_chunks == 0 || td_seconds <= 0.0 || bu_seconds <= 0.0 {
-            return false;
-        }
-        // Only tune policies that actually switch directions: an
-        // `alpha = +inf` top-down-only policy is a semantic choice
-        // (baseline parity), not a performance setting.
-        if !self.policy.alpha.is_finite() || self.policy.beta <= 0.0 {
-            return false;
-        }
-        let td_cost = td_seconds / td_chunks as f64;
-        let bu_cost = bu_seconds / bu_chunks as f64;
-        let ratio = bu_cost / td_cost;
-        let (alpha, beta) = if ratio * tune::DEADBAND < 1.0 {
-            // Bottom-up cheap: switch earlier, return later.
-            (self.policy.alpha * tune::STEP, self.policy.beta / tune::STEP)
-        } else if ratio > tune::DEADBAND {
-            (self.policy.alpha / tune::STEP, self.policy.beta * tune::STEP)
-        } else {
-            return false;
-        };
-        let alpha = alpha.clamp(tune::MIN, tune::MAX);
-        let beta = beta.clamp(tune::MIN, tune::MAX);
-        if alpha == self.policy.alpha && beta == self.policy.beta {
-            return false;
-        }
-        self.policy = DirectionPolicy { alpha, beta };
-        self.retunes += 1;
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,57 +124,5 @@ mod tests {
         let p = DirectionPolicy::top_down_only();
         let d = p.next(Direction::TopDown, u64::MAX / 2, 999, 1, 1_000);
         assert_eq!(d, Direction::TopDown);
-    }
-
-    #[test]
-    fn tuner_moves_toward_the_cheap_direction_within_bounds() {
-        let mut t = DirectionTuner::new(DirectionPolicy::beamer());
-        // Bottom-up 4x cheaper per chunk: α must rise, β must fall.
-        assert!(t.observe(4.0, 100, 1.0, 100));
-        let p = t.policy();
-        assert!(p.alpha > 14.0 && p.beta < 24.0, "got {p:?}");
-        // Keep feeding the same signal: the excursion stays clamped.
-        for _ in 0..20 {
-            t.observe(4.0, 100, 1.0, 100);
-        }
-        let p = t.policy();
-        assert!(p.alpha <= tune::MAX && p.beta >= tune::MIN, "clamp violated: {p:?}");
-        assert!(t.frozen(), "window must close after TUNE_GROUPS groups");
-        assert!(t.retunes() >= 1 && t.retunes() <= tune::TUNE_GROUPS);
-    }
-
-    #[test]
-    fn tuner_is_inert_on_noise_partial_observations_and_fixed_policies() {
-        // Inside the deadband: no move.
-        let mut t = DirectionTuner::new(DirectionPolicy::beamer());
-        assert!(!t.observe(1.0, 100, 1.1, 100));
-        assert_eq!(t.policy(), DirectionPolicy::beamer());
-        // A group that never went bottom-up cannot tune (but still counts
-        // against the window).
-        assert!(!t.observe(1.0, 100, 0.0, 0));
-        // Top-down-only policies are semantic, never tuned.
-        let mut fixed = DirectionTuner::new(DirectionPolicy::top_down_only());
-        assert!(!fixed.observe(10.0, 100, 1.0, 100));
-        assert_eq!(fixed.policy(), DirectionPolicy::top_down_only());
-        // After the window, even a loud signal is ignored.
-        let mut t = DirectionTuner::new(DirectionPolicy::beamer());
-        for _ in 0..tune::TUNE_GROUPS {
-            t.observe(1.0, 100, 1.0, 100);
-        }
-        assert!(t.frozen());
-        assert!(!t.observe(100.0, 100, 1.0, 100));
-    }
-
-    #[test]
-    fn tuner_moves_are_deterministic_in_their_inputs() {
-        let feed = [(2.0, 80u64, 1.0, 40u64), (1.0, 50, 3.0, 60), (5.0, 10, 1.0, 10)];
-        let run = || {
-            let mut t = DirectionTuner::new(DirectionPolicy::beamer());
-            for (a, b, c, d) in feed {
-                t.observe(a, b, c, d);
-            }
-            (t.policy(), t.retunes())
-        };
-        assert_eq!(run(), run());
     }
 }

@@ -10,7 +10,7 @@
 //! | [`joint::JointEngine`] | Joint traversal: single kernel, joint frontier queue + joint status array + shared-memory adjacency cache (§4) | [`joint`] |
 //! | [`bitwise::BitwiseEngine`] | Bitwise status array with early termination (§6); also the MS-BFS-style per-level-reset variant used as the Figure 20 baseline | [`bitwise`] |
 //! | [`spmm::SpmmEngine`] | SpMM-BC-like top-down-only concurrent baseline | [`spmm`] |
-//! | [`cpu::CpuIbfs`], [`cpu::CpuMsBfs`] | real multithreaded CPU implementations (Figure 22, Table 1) | [`cpu`] |
+//! | [`cpu::CpuService`] | real multithreaded CPU implementation, iBFS or MS-BFS by [`cpu::CpuOptions::msbfs`] (Figure 22, Table 1) | [`cpu`] |
 //!
 //! GroupBy (§5) lives in [`groupby`]; the sharing-degree/-ratio theory of
 //! Lemma 1/Theorem 1 in [`sharing`]; orchestration of full MSSP/APSP runs in
@@ -55,7 +55,7 @@ pub mod status;
 pub mod trace;
 pub mod word;
 
-pub use cpu::{CpuIbfs, CpuMsBfs, CpuOptions, CpuRun, CpuService, CPU_GROUP};
+pub use cpu::{CpuOptions, CpuRun, CpuService, CPU_GROUP};
 pub use driver::{LevelDriver, LevelEngine};
 pub use engine::{Engine, EngineKind, GpuGraph, GroupRun};
 pub use groupby::{GroupByConfig, Grouping, GroupingStrategy};

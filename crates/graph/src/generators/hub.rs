@@ -3,8 +3,8 @@
 //! The worst case for vertex-granular work splitting: one vertex owning
 //! the majority of all directed edges. A scheduler that cannot split
 //! inside an edge list serializes most of every top-down level behind
-//! whichever lane drew the hub. The CPU differential and reorder walls
-//! run the engine on this graph.
+//! whichever lane drew the hub. The CPU differential wall runs the engine
+//! on this graph.
 
 use crate::{Csr, CsrBuilder, VertexId};
 use ibfs_util::Rng;

@@ -24,7 +24,6 @@ pub mod edgelist;
 pub mod generators;
 pub mod io;
 pub mod partition;
-pub mod reorder;
 pub mod suite;
 pub mod validate;
 pub mod weighted;

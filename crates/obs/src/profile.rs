@@ -78,15 +78,6 @@ pub enum ProfPhase {
     /// One serve batch from dispatch to depths. Counters: requests,
     /// distinct sources.
     ServeBatch,
-    /// Reordered service: mapping a group's sources into permuted space.
-    /// Counters: sources mapped, 0.
-    MapIn,
-    /// Reordered service: mapping a group's depth table back to original
-    /// vertex ids. Counters: depth cells mapped, instances.
-    MapOut,
-    /// One α/β autotuner adjustment. Counters: new α in milli-units, new
-    /// β in milli-units.
-    Retune,
 }
 
 json_enum!(ProfPhase {
@@ -102,14 +93,11 @@ json_enum!(ProfPhase {
     CommExchange,
     CommApply,
     ServeBatch,
-    MapIn,
-    MapOut,
-    Retune,
 });
 
 impl ProfPhase {
     /// Every phase, for eager metric registration and exhaustive tests.
-    pub const ALL: [ProfPhase; 15] = [
+    pub const ALL: [ProfPhase; 12] = [
         ProfPhase::TopDownExpand,
         ProfPhase::BottomUpSweep,
         ProfPhase::BarrierWait,
@@ -122,9 +110,6 @@ impl ProfPhase {
         ProfPhase::CommExchange,
         ProfPhase::CommApply,
         ProfPhase::ServeBatch,
-        ProfPhase::MapIn,
-        ProfPhase::MapOut,
-        ProfPhase::Retune,
     ];
 
     /// Stable snake_case name (Chrome trace event name, metric label).
@@ -142,9 +127,6 @@ impl ProfPhase {
             ProfPhase::CommExchange => "comm_exchange",
             ProfPhase::CommApply => "comm_apply",
             ProfPhase::ServeBatch => "serve_batch",
-            ProfPhase::MapIn => "map_in",
-            ProfPhase::MapOut => "map_out",
-            ProfPhase::Retune => "retune",
         }
     }
 
@@ -154,7 +136,6 @@ impl ProfPhase {
             ProfPhase::BarrierWait => "sync",
             ProfPhase::CommEncode | ProfPhase::CommExchange | ProfPhase::CommApply => "comm",
             ProfPhase::ServeBatch => "serve",
-            ProfPhase::Retune => "tune",
             _ => "engine",
         }
     }

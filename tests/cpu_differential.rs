@@ -1,15 +1,15 @@
 //! Differential tests pinning the pooled CPU engine to the frozen pre-pool
 //! implementation: bit-identical depths and `traversed_edges` across seeded
 //! suite graphs (a hub-heavy one included), thread counts {1, 3, 8}, every
-//! status-word width, and duplicate sources within a group — plus the
-//! no-per-level-spawn acceptance check.
+//! status-word width, and duplicate sources within a group at every width —
+//! plus the no-per-level-spawn acceptance check.
 
 use ibfs_repro::graph::generators::{
     chung_lu, grid2d, hub_heavy, powerlaw_weights, rmat, uniform_random, RmatParams,
 };
 use ibfs_repro::graph::validate::reference_bfs;
 use ibfs_repro::graph::{Csr, VertexId};
-use ibfs_repro::ibfs::cpu::{CpuIbfs, CpuMsBfs};
+use ibfs_repro::ibfs::cpu::{CpuOptions, CpuRun, CpuService};
 use ibfs_repro::ibfs::cpu_baseline::{run_cpu_baseline, BASELINE_GROUP};
 use ibfs_repro::ibfs::direction::DirectionPolicy;
 use ibfs_repro::ibfs::word::WordWidth;
@@ -35,16 +35,24 @@ fn seeded_graphs() -> Vec<(String, Csr)> {
     ]
 }
 
+/// Duplicate sources within a group, plus the last vertex: each duplicate
+/// must get its own lane.
+fn duplicate_sources(g: &Csr) -> Vec<VertexId> {
+    let n = g.num_vertices() as VertexId;
+    vec![0, n / 2, 0, n - 1, n / 2]
+}
+
 fn source_sets(g: &Csr) -> Vec<Vec<VertexId>> {
     let n = g.num_vertices() as VertexId;
-    let mut sets = vec![
-        (0..n.min(8)).collect::<Vec<_>>(),
-        (0..n.min(32)).collect(),
-        // Duplicate sources within a group: each must get its own lane.
-        vec![0, n / 2, 0, n - 1, n / 2],
-    ];
+    let mut sets =
+        vec![(0..n.min(8)).collect::<Vec<_>>(), (0..n.min(32)).collect(), duplicate_sources(g)];
     sets.retain(|s| !s.is_empty());
     sets
+}
+
+/// Runs one group through a transient service.
+fn run(g: &Csr, r: &Csr, opts: CpuOptions, sources: &[VertexId]) -> CpuRun {
+    CpuService::new(g, r, opts).run_group(sources).unwrap()
 }
 
 /// Pooled engine vs the frozen pre-pool `run_cpu` — both engine flavors,
@@ -66,15 +74,8 @@ fn pooled_engine_is_bit_identical_to_baseline() {
                         msbfs,
                         0,
                     );
-                    let pooled = if msbfs {
-                        CpuMsBfs { threads, ..Default::default() }
-                            .run_group(&g, &r, &sources)
-                            .unwrap()
-                    } else {
-                        CpuIbfs { threads, ..Default::default() }
-                            .run_group(&g, &r, &sources)
-                            .unwrap()
-                    };
+                    let pooled =
+                        run(&g, &r, CpuOptions { threads, msbfs, ..Default::default() }, &sources);
                     let what = format!(
                         "{name}: {} sources={sources:?} threads={threads}",
                         if msbfs { "msbfs" } else { "ibfs" }
@@ -90,34 +91,34 @@ fn pooled_engine_is_bit_identical_to_baseline() {
     }
 }
 
-/// Every word width produces the same depths as the u64 baseline (sources
-/// capped at 32 so the narrowest width can hold the group).
+/// Every word width produces the same depths as the u64 baseline, on a
+/// prefix of at most 32 sources (so the narrowest width can hold the group)
+/// and on the duplicate set with the last vertex.
 #[test]
 fn every_width_is_bit_identical_to_baseline() {
     for (name, g) in seeded_graphs() {
         let r = g.reverse();
-        let sources: Vec<VertexId> =
-            (0..(g.num_vertices() as VertexId).min(32)).collect();
-        for threads in THREAD_COUNTS {
-            let baseline = run_cpu_baseline(
-                &g,
-                &r,
-                &sources,
-                DirectionPolicy::default(),
-                threads,
-                true,
-                false,
-                0,
-            );
-            for width in WordWidth::all() {
-                let pooled = CpuIbfs { threads, width, ..Default::default() }
-                    .run_group(&g, &r, &sources)
-                    .unwrap();
-                assert_eq!(
-                    pooled.depths, baseline.depths,
-                    "{name}: width {width} threads {threads}: depths diverge"
+        let prefix: Vec<VertexId> = (0..(g.num_vertices() as VertexId).min(32)).collect();
+        for sources in [prefix, duplicate_sources(&g)] {
+            for threads in THREAD_COUNTS {
+                let baseline = run_cpu_baseline(
+                    &g,
+                    &r,
+                    &sources,
+                    DirectionPolicy::default(),
+                    threads,
+                    true,
+                    false,
+                    0,
                 );
-                assert_eq!(pooled.traversed_edges, baseline.traversed_edges);
+                for width in WordWidth::all() {
+                    let pooled =
+                        run(&g, &r, CpuOptions { threads, width, ..Default::default() }, &sources);
+                    let what =
+                        format!("{name}: sources={sources:?} width {width} threads {threads}");
+                    assert_eq!(pooled.depths, baseline.depths, "{what}: depths diverge");
+                    assert_eq!(pooled.traversed_edges, baseline.traversed_edges, "{what}");
+                }
             }
         }
     }
@@ -132,12 +133,10 @@ fn wide_groups_beyond_baseline_capacity_match_reference() {
     let sources: Vec<VertexId> = (0..100).collect();
     assert!(sources.len() > BASELINE_GROUP);
     for width in [WordWidth::W128, WordWidth::W256] {
-        let run = CpuIbfs { threads: 3, width, ..Default::default() }
-            .run_group(&g, &r, &sources)
-            .unwrap();
+        let wide = run(&g, &r, CpuOptions { threads: 3, width, ..Default::default() }, &sources);
         for (j, &s) in sources.iter().enumerate() {
             assert_eq!(
-                run.instance_depths(j),
+                wide.instance_depths(j),
                 &reference_bfs(&g, s)[..],
                 "width {width}: source {s}"
             );
@@ -152,8 +151,9 @@ fn no_per_level_thread_spawns() {
     let g = rmat(9, 8, RmatParams::graph500(), 42);
     let r = g.reverse();
     let sources: Vec<VertexId> = (0..96).collect();
-    let mut ibfs = CpuIbfs { threads: 4, ..Default::default() }.service(&g, &r);
-    let mut msbfs = CpuMsBfs { threads: 4, ..Default::default() }.service(&g, &r);
+    let mut ibfs = CpuService::new(&g, &r, CpuOptions { threads: 4, ..Default::default() });
+    let opts = CpuOptions { threads: 4, msbfs: true, ..Default::default() };
+    let mut msbfs = CpuService::new(&g, &r, opts);
     let after_construction = ibfs_repro::ibfs::pool::threads_spawned_here();
     let mut levels = 0usize;
     let mut groups = 0usize;

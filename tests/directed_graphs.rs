@@ -7,7 +7,7 @@
 use ibfs_repro::graph::validate::reference_bfs;
 use ibfs_repro::graph::{Csr, CsrBuilder, VertexId};
 use ibfs_repro::gpu_sim::{DeviceConfig, Profiler};
-use ibfs_repro::ibfs::cpu::{CpuIbfs, CpuMsBfs};
+use ibfs_repro::ibfs::cpu::{CpuOptions, CpuService};
 use ibfs_repro::ibfs::direction::DirectionPolicy;
 use ibfs_repro::ibfs::engine::{Engine, EngineKind, GpuGraph};
 use ibfs_repro::util::prop::{vec_of, Prop};
@@ -54,8 +54,9 @@ fn check_all_engines(g: &Csr, sources: &[VertexId]) {
         }
     }
     // CPU engines too.
-    let cpu = CpuIbfs::default().run_group(g, &r, sources).unwrap();
-    let ms = CpuMsBfs::default().run_group(g, &r, sources).unwrap();
+    let cpu = CpuService::new(g, &r, CpuOptions::default()).run_group(sources).unwrap();
+    let msbfs = CpuOptions { msbfs: true, ..Default::default() };
+    let ms = CpuService::new(g, &r, msbfs).run_group(sources).unwrap();
     for (j, &s) in sources.iter().enumerate() {
         let want = reference_bfs(g, s);
         assert_eq!(cpu.instance_depths(j), &want[..]);

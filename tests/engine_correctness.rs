@@ -4,9 +4,9 @@
 
 use ibfs_repro::graph::suite;
 use ibfs_repro::graph::validate::{check_depths, reference_bfs};
-use ibfs_repro::graph::VertexId;
+use ibfs_repro::graph::{Csr, VertexId};
 use ibfs_repro::gpu_sim::{DeviceConfig, Profiler};
-use ibfs_repro::ibfs::cpu::{CpuIbfs, CpuMsBfs};
+use ibfs_repro::ibfs::cpu::{CpuOptions, CpuRun, CpuService};
 use ibfs_repro::ibfs::engine::{EngineKind, GpuGraph};
 
 const SHRINK: u32 = 4;
@@ -21,6 +21,12 @@ fn suite_graphs() -> Vec<(String, ibfs_repro::graph::Csr)> {
 
 fn sources_for(g: &ibfs_repro::graph::Csr) -> Vec<VertexId> {
     (0..g.num_vertices().min(SOURCES) as VertexId).collect()
+}
+
+/// One group through the CPU engine: iBFS, or MS-BFS with `msbfs`.
+fn run_cpu(g: &Csr, r: &Csr, msbfs: bool, sources: &[VertexId]) -> CpuRun {
+    let opts = CpuOptions { msbfs, ..Default::default() };
+    CpuService::new(g, r, opts).run_group(sources).unwrap()
 }
 
 #[test]
@@ -65,8 +71,8 @@ fn cpu_engines_match_reference_on_every_suite_graph() {
     for (name, g) in suite_graphs() {
         let r = g.reverse();
         let sources = sources_for(&g);
-        let ibfs_run = CpuIbfs::default().run_group(&g, &r, &sources).unwrap();
-        let msbfs_run = CpuMsBfs::default().run_group(&g, &r, &sources).unwrap();
+        let ibfs_run = run_cpu(&g, &r, false, &sources);
+        let msbfs_run = run_cpu(&g, &r, true, &sources);
         for (j, &s) in sources.iter().enumerate() {
             let want = reference_bfs(&g, s);
             assert_eq!(
@@ -112,9 +118,9 @@ fn all_engines_produce_identical_level_arrays_across_generators() {
                 .collect();
             runs.push((format!("{kind:?}"), levels));
         }
-        let cpu = CpuIbfs::default().run_group(&g, &r, &sources).unwrap();
-        let ms = CpuMsBfs::default().run_group(&g, &r, &sources).unwrap();
-        for (name, run) in [("CpuIbfs", cpu), ("CpuMsBfs", ms)] {
+        let cpu = run_cpu(&g, &r, false, &sources);
+        let ms = run_cpu(&g, &r, true, &sources);
+        for (name, run) in [("CpuService(ibfs)", cpu), ("CpuService(msbfs)", ms)] {
             let levels = (0..sources.len())
                 .map(|j| run.instance_depths(j).to_vec())
                 .collect();

@@ -17,7 +17,7 @@
 
 use ibfs_repro::graph::generators::{rmat, RmatParams};
 use ibfs_repro::graph::VertexId;
-use ibfs_repro::ibfs::cpu::CpuIbfs;
+use ibfs_repro::ibfs::cpu::{CpuOptions, CpuService};
 use ibfs_repro::obs::{
     EngineProfiler, PhaseRecord, ProfPhase, ProfileReport, PROFILE_SCHEMA_VERSION,
 };
@@ -32,7 +32,7 @@ fn profiled_report(scale: u32, seed: u64, threads: usize) -> ProfileReport {
     let prof = EngineProfiler::shared();
     let n = g.num_vertices() as VertexId;
     let sources: Vec<VertexId> = (0..16.min(n)).collect();
-    let mut svc = CpuIbfs { threads, ..Default::default() }.service(&g, &r);
+    let mut svc = CpuService::new(&g, &r, CpuOptions { threads, ..Default::default() });
     svc.set_profiler(prof.clone());
     svc.run_group(&sources).expect("profiled run");
     prof.report("profile-report-test")

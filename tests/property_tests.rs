@@ -7,7 +7,7 @@ use ibfs_repro::graph::validate::{check_depths, reference_bfs};
 use ibfs_repro::graph::{Csr, CsrBuilder, EdgeList, VertexId};
 use ibfs_repro::gpu_sim::transactions_for_warp;
 use ibfs_repro::gpu_sim::{DeviceConfig, Profiler};
-use ibfs_repro::ibfs::cpu::CpuIbfs;
+use ibfs_repro::ibfs::cpu::{CpuOptions, CpuService};
 use ibfs_repro::ibfs::engine::{EngineKind, GpuGraph};
 use ibfs_repro::ibfs::groupby::{random_grouping, GroupByConfig, GroupingStrategy};
 use ibfs_repro::util::prop::{vec_of, Prop};
@@ -72,7 +72,8 @@ fn cpu_engine_matches_reference_on_arbitrary_graphs() {
             let r = g.reverse();
             let n = g.num_vertices();
             let sources: Vec<VertexId> = (0..n.min(8) as VertexId).collect();
-            let run = CpuIbfs { threads, ..Default::default() }.run_group(&g, &r, &sources).unwrap();
+            let opts = CpuOptions { threads, ..Default::default() };
+            let run = CpuService::new(&g, &r, opts).run_group(&sources).unwrap();
             for (j, &s) in sources.iter().enumerate() {
                 assert_eq!(run.instance_depths(j), &reference_bfs(&g, s)[..]);
             }
