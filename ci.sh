@@ -66,6 +66,8 @@ test -s "$BENCH"
 cargo run -q --release --offline -p ibfs-bench --bin bfs -- shard-bench \
     --shards 4 --check
 cargo test -q --release --offline --test sharded_differential
+# The CPU engine's differential wall under -O, as the benchmark builds it.
+cargo test -q --release --offline --test cpu_differential
 
 # Profiler export gate: a seeded serve-bench with the profiler attached
 # must export a ProfileReport and a Chrome trace-event file. The binary

@@ -22,6 +22,7 @@
 //!             [--shards N] [--layout contiguous|hash] [--check] [--json]
 //!             [--out PATH] [--profile-out PATH] [--profile-trace PATH]
 //! bfs perf-diff <BASE.json> <NEW.json> [--noise PCT] [--calibrate ENGINE] [--check]
+//! bfs bench-pairs <PARENT_DIR> <CHANGE_DIR> [--spec BENCHMARK.json]
 //! bfs top <SNAPSHOT.json> [--ticks N] [--interval-ms N] [--no-clear]
 //!
 //! GRAPH    a binary CSR file from `graphgen --format bin`, or a suite
@@ -56,8 +57,12 @@
 //! `--profile-out`/`--profile-trace` (serve-bench already uses
 //! `--profile` for the source distribution). `perf-diff` compares two
 //! cpu-bench reports and, with `--check`, fails on TEPS regressions
-//! beyond `--noise` percent. `top` polls a metrics snapshot file and
-//! redraws a live SLO/serve/profiler dashboard.
+//! beyond `--noise` percent. `bench-pairs` pairs two directories of the
+//! end-to-end benchmark's `--out` documents by workload and seed and
+//! prints, per end-to-end metric, the medians, quartiles, wins and a
+//! verdict against the bounds in `--spec` (see `ibfs_bench::pairs`).
+//! `top` polls a metrics snapshot file and redraws a live
+//! SLO/serve/profiler dashboard.
 //! ```
 
 use ibfs::cpu::{CpuOptions, CpuService};
@@ -102,6 +107,10 @@ fn main() -> ExitCode {
     if args[0] == "top" {
         args.remove(0);
         return top(args);
+    }
+    if args[0] == "bench-pairs" {
+        args.remove(0);
+        return bench_pairs(args);
     }
     let graph_arg = args.remove(0);
     let mut engine = EngineKind::Bitwise;
@@ -1140,6 +1149,39 @@ fn perf_diff(args: Vec<String>) -> ExitCode {
     }
 }
 
+/// `bfs bench-pairs` — summarize alternating parent/change benchmark runs.
+fn bench_pairs(args: Vec<String>) -> ExitCode {
+    let mut spec_path = "BENCHMARK.json".to_string();
+    let mut dirs: Vec<String> = Vec::new();
+    let mut it = args.into_iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--spec" => match it.next() {
+                Some(p) => spec_path = p,
+                None => return usage("--spec needs a path"),
+            },
+            other if other.starts_with("--") => {
+                return usage(&format!("bench-pairs: unknown option {other}"))
+            }
+            _ => dirs.push(a),
+        }
+    }
+    if dirs.len() != 2 {
+        return usage("bench-pairs needs exactly two directories: PARENT CHANGE");
+    }
+    let (spec, parent, change) = (spec_path.as_ref(), dirs[0].as_ref(), dirs[1].as_ref());
+    match ibfs_bench::pairs::summarize(spec, parent, change) {
+        Ok(text) => {
+            print!("{text}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 /// `bfs top` — poll a metrics snapshot file (e.g. one rewritten by
 /// `serve-bench --metrics-out`) and redraw the live SLO / serve / profiler
 /// dashboard between ticks. An unreadable or partially-written file skips
@@ -1253,6 +1295,7 @@ fn usage(msg: &str) -> ExitCode {
          [--shards N] [--layout contiguous|hash] [--check] [--json] [--out PATH|-] \
          [--profile-out PATH|-] [--profile-trace PATH|-]\n\
        bfs perf-diff <BASE.json> <NEW.json> [--noise PCT] [--calibrate ENGINE] [--check]\n\
+       bfs bench-pairs <PARENT_DIR> <CHANGE_DIR> [--spec BENCHMARK.json]\n\
        bfs top <SNAPSHOT.json> [--ticks N] [--interval-ms N] [--no-clear]"
     );
     ExitCode::from(2)

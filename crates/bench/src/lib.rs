@@ -9,6 +9,7 @@
 pub mod cpubench;
 pub mod figures;
 pub mod loadgen;
+pub mod pairs;
 pub mod perfdiff;
 pub mod result;
 pub mod shardbench;

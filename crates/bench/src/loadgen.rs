@@ -123,7 +123,7 @@ impl Default for LoadGenConfig {
 }
 
 /// `p`-th percentile of `sorted` (ascending), by the nearest-rank rule.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }

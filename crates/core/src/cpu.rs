@@ -35,9 +35,9 @@
 //! * **Wide words** — the engine is generic over [`StatusWord`] width
 //!   through the [`AtomicStatus`] lanes in [`crate::word`]; with
 //!   [`WordWidth::W256`] a 128-source set runs as one group instead of two.
-//!   Depths are written directly in `[instance][vertex]` layout, deleting
-//!   the old final transpose; see *Identification writes* below for how
-//!   those writes stay cache-friendly.
+//!   Depths are written directly in `[instance][vertex]` layout, with no
+//!   whole-table transpose after the run; see *Identification writes*
+//!   below for how those writes stay cache-friendly.
 //! * **Change bitmaps** — traversal reads `cur` and adds bits to `next`.
 //!   Each lane owns an `n/64`-word bitmap and sets bit `v` with a plain
 //!   load and store whenever its `fetch_or` or store added a bit to
@@ -78,21 +78,25 @@
 //! time, which is one `BLOCK`-vertex block (one cache line of `u8` depths
 //! per row). A vertex whose diff word has at most `DIRECT_WRITE_MAX` bits
 //! writes its cells directly: it touches few rows. A vertex with more bits
-//! instead sets bit `v - base` in a per-lane `[u64; CPU_GROUP]` row mask.
-//! At the end of each block, each row named by the union of the parked
-//! diff words is written from its mask and the mask is cleared, so each
-//! row's line is touched once per block instead of once per vertex. The
-//! cut-off rests on the diff word's popcount, which the level loop computes
-//! anyway: on the mesh almost every word has one or two bits, and a
-//! prototype that buffered every vertex slowed the mesh's identification
+//! parks its whole diff word with one store per 64-bit lane: lane `k` of
+//! the word becomes row `v - base` of tile `k`, a 64×64 bit matrix in a
+//! per-lane `[[u64; 64]; CPU_GROUP / 64]` (2 KiB on the lane's stack).
+//! W32 fills the low half of one tile; W128 and W256 use two and four. At
+//! the end of each block, each tile holding a parked bit is transposed in
+//! place (six shift-and-mask rounds, Hacker's Delight §7-3). Its row `j`
+//! then holds instance `64k + j`'s cells in the block, which are written in
+//! one pass over that row's cache line and cleared; debug builds assert
+//! that every tile is zero after its block. So one store serves every
+//! instance of a dense vertex, as one status word does in traversal (§6).
+//! The cut-off rests on the diff word's popcount, which the level loop
+//! computes anyway: on the mesh almost every word has one or two bits, and
+//! a prototype that buffered every vertex slowed the mesh's identification
 //! by about 15%.
 //!
 //! A prototype with a padded row stride plus a copy into the dense result
 //! was as fast, but it raised the benchmark's peak RSS by 17% on
 //! batch-rmat and 25% on batch-mesh, against a 5% bound, so that design
-//! was rejected. The layout of
-//! [`CpuRun::depths`] is unchanged, and no memory is added beyond the
-//! 2 KiB row masks on each lane's stack.
+//! was rejected. The layout of [`CpuRun::depths`] is unchanged.
 //!
 //! `traversed_edges` comes from the level loop: the sources' out-degrees,
 //! plus `marked × out_degree(v)` for each identified vertex, which the
@@ -100,16 +104,21 @@
 //! cells after the last level ([`crate::engine::traversed_edges_for`])
 //! remains only as a `debug_assert_eq!`.
 //!
-//! In a traced `batch-rmat` run of the `benchmark` package (seed 42, 2
-//! lanes, 64-source groups, 20 s, on a 2-vCPU KVM host), identification
-//! fell from 14.6 to 3.5 ms per group (summed over lanes) and the median
-//! time outside every profiled phase from 1.27 to 0.56 ms. Walking only
-//! the changed vertices (see *Change bitmaps*) then cut `batch-mesh`
+//! Before the transpose, a parked vertex set one row-mask bit per new
+//! instance bit: up to 64 loop turns per vertex. That loop was the cost,
+//! not the stores: a prototype that only swapped the flush's byte stores
+//! for masked `u64` stores changed nothing. With the transpose, a traced
+//! `batch-rmat` run of the `benchmark` package (seed 42, 2 lanes, 64-source
+//! groups, 20 s, on a 2-vCPU KVM host) went from 9.63 to 4.99 ms of
+//! identification per group (summed over lanes), and 10 alternating
+//! untraced pairs (seeds 1601–1610, 20 s, same host) moved the median
+//! `teps` from 5.20 G to 6.86 G (×1.32, 10 wins in 10; parent IQR 5.5%)
+//! and the median group latency from 10.76 to 8.08 ms. `batch-mesh`,
+//! whose diff words take the direct path, stayed flat. Walking only the
+//! changed vertices (see *Change bitmaps*) had earlier cut `batch-mesh`
 //! identification (seed 42, one lane, 20 s, same host) from 20.7 to 13.0
 //! ms per group and `repair_ms` from 3.8 to 0, and pool phases per level
-//! fell from 3.10 to 2.10. `batch-rmat` identification stayed near flat
-//! (13.8 to 12.8 ms): its few fat levels change nearly every vertex of the
-//! chunks they touch.
+//! fell from 3.10 to 2.10.
 //!
 //! Capacity is [`CPU_GROUP`] instances, further limited by the configured
 //! word width. Oversized or malformed groups are typed
@@ -119,7 +128,7 @@ use crate::direction::{Direction, DirectionPolicy};
 use crate::pool::{build_bounds, ChunkCursor, ClaimTally, WorkerPool};
 use crate::service::{admit_sources, RequestError};
 use crate::word::{
-    AtomicStatus, AtomicW128, AtomicW256, AtomicW32, AtomicW64, StatusWord, WordWidth,
+    transpose64, AtomicStatus, AtomicW128, AtomicW256, AtomicW32, AtomicW64, StatusWord, WordWidth,
 };
 use ibfs_graph::{Csr, Depth, VertexId, DEPTH_UNVISITED};
 use ibfs_obs::{EngineProfiler, ProfPhase};
@@ -777,8 +786,9 @@ fn run_width<A: AtomicStatus>(
         // Identification: for each changed vertex, diff its words, record
         // depths, copy `next` into `cur` and push it on the top-down
         // frontier. Depth writes are block-buffered (see the module docs):
-        // a vertex with more than `DIRECT_WRITE_MAX` new bits parks them in
-        // per-row masks, and each row's cells are written once per block.
+        // a vertex with more than `DIRECT_WRITE_MAX` new bits parks its diff
+        // word as one tile row per 64-bit lane, and each block's tiles are
+        // transposed into instance rows whose cells are written once.
         scratch.cursor.reset();
         {
             let (touched_list, cursor, lanes, changed) =
@@ -790,19 +800,32 @@ fn run_width<A: AtomicStatus>(
                 // Copied out of the captured environment, which the raw
                 // `u8` depth stores could alias, forcing reloads per store.
                 let (table, n, depth) = (table, n, depth);
-                // Row j's parked cells in block `base`, as bit `v - base`.
-                let mut rows = [0u64; CPU_GROUP];
-                // Writes out and clears the rows `parked` names. Every
-                // parked cell lies in a chunk this lane claimed.
-                let flush = |rows: &mut [u64; CPU_GROUP], parked: A::Word, base: usize| {
-                    for j in parked.iter_ones() {
-                        let row = j as usize * n + base;
-                        let mut mask = std::mem::take(&mut rows[j as usize]);
-                        while mask != 0 {
-                            // SAFETY: the cell is in a chunk this lane
-                            // claimed exclusively, so it has one writer.
-                            unsafe { table.set(row + mask.trailing_zeros() as usize, depth) };
-                            mask &= mask - 1;
+                // Tile k holds instances 64k..64k + 64. Before the flush,
+                // row `v - base` of a tile is lane k of a parked vertex's
+                // diff word; after the transpose, row `j` is instance
+                // 64k + j's parked cells in the block, as bit `v - base`.
+                let mut tiles = [[0u64; 64]; CPU_GROUP / 64];
+                // Transposes every tile `parked` touches, then writes out
+                // and clears the rows it names. Every parked cell lies in a
+                // chunk this lane claimed.
+                let flush = |tiles: &mut [[u64; 64]; CPU_GROUP / 64], parked: A::Word, base| {
+                    for (k, tile) in tiles.iter_mut().enumerate().take(A::Word::LANES) {
+                        let mut rows = parked.lane(k);
+                        if rows == 0 {
+                            continue;
+                        }
+                        transpose64(tile);
+                        while rows != 0 {
+                            let j = rows.trailing_zeros() as usize;
+                            rows &= rows - 1;
+                            let row = (64 * k + j) * n + base;
+                            let mut mask = std::mem::take(&mut tile[j]);
+                            while mask != 0 {
+                                // SAFETY: the cell is in a chunk this lane
+                                // claimed exclusively, so it has one writer.
+                                unsafe { table.set(row + mask.trailing_zeros() as usize, depth) };
+                                mask &= mask - 1;
+                            }
                         }
                     }
                 };
@@ -837,8 +860,8 @@ fn run_width<A: AtomicStatus>(
                                     unsafe { table.set(j as usize * n + v, depth) };
                                 }
                             } else {
-                                for j in diff.iter_ones() {
-                                    rows[j as usize] |= 1u64 << (v - base);
+                                for (k, tile) in tiles.iter_mut().enumerate().take(A::Word::LANES) {
+                                    tile[v - base] = diff.lane(k);
                                 }
                                 parked = parked.or(diff);
                             }
@@ -846,7 +869,11 @@ fn run_width<A: AtomicStatus>(
                             new_edges += marked as u64 * csr.out_degree(v as VertexId) as u64;
                             st.queue.push(v as VertexId);
                         }
-                        flush(&mut rows, parked, base);
+                        flush(&mut tiles, parked, base);
+                        debug_assert!(
+                            tiles.iter().flatten().all(|&row| row == 0),
+                            "block {base}: a tile row outlived its flush"
+                        );
                     }
                 }
                 st.new_marked += new_marked;
@@ -1105,53 +1132,53 @@ mod tests {
         for n in [2 * CHUNK, 2 * CHUNK + 100] {
             let g = hub_beside_path(n);
             let r = g.reverse();
-            let star = 0..128;
-            let path = (0..128).map(|k| 300 + 13 * k);
-            let sources: Vec<VertexId> = star.chain(path).collect();
-            assert_eq!(sources.len(), CPU_GROUP, "every row slot in use");
-            let refs: Vec<Vec<Depth>> = sources.iter().map(|&s| reference_bfs(&g, s)).collect();
-            // How many instances first reach vertex v at level d: the
-            // popcount of v's diff word in identification at level d.
-            let mut arrivals = std::collections::HashMap::new();
-            for d in &refs {
-                for (v, &x) in d.iter().enumerate().filter(|(_, &x)| x != 0 && x != DEPTH_UNVISITED) {
-                    *arrivals.entry((v, x)).or_insert(0u32) += 1;
-                }
+            for width in WordWidth::all() {
+                check_block_writes(&g, &r, width);
             }
-            assert!(arrivals.values().any(|&c| c <= DIRECT_WRITE_MAX), "n={n}: no direct writes");
-            // Every instance's row takes parked writes somewhere.
-            let parked = |v: usize, x: Depth| arrivals.get(&(v, x)).is_some_and(|&c| c > DIRECT_WRITE_MAX);
+        }
+    }
+
+    /// Fills `width`'s capacity with half star and half path sources of
+    /// [`hub_beside_path`], so W32's half tile and every tile of the wider
+    /// words take parked writes, and checks the run against the references.
+    fn check_block_writes(g: &Csr, r: &Csr, width: WordWidth) {
+        let at = format!("n={} width={width}", g.num_vertices());
+        let half = width.bits() / 2;
+        let sources: Vec<VertexId> = (0..half).chain((0..half).map(|k| 300 + 13 * k)).collect();
+        let refs: Vec<Vec<Depth>> = sources.iter().map(|&s| reference_bfs(g, s)).collect();
+        // How many instances first reach vertex v at level d: the popcount
+        // of v's diff word in identification at level d.
+        let mut arrivals = std::collections::HashMap::new();
+        for d in &refs {
+            for (v, &x) in d.iter().enumerate().filter(|(_, &x)| x != 0 && x != DEPTH_UNVISITED) {
+                *arrivals.entry((v, x)).or_insert(0u32) += 1;
+            }
+        }
+        assert!(arrivals.values().any(|&c| c <= DIRECT_WRITE_MAX), "{at}: no direct writes");
+        // Every instance's row takes parked writes somewhere.
+        let parked =
+            |v: usize, x: Depth| arrivals.get(&(v, x)).is_some_and(|&c| c > DIRECT_WRITE_MAX);
+        for (j, d) in refs.iter().enumerate() {
+            assert!(d.iter().enumerate().any(|(v, &x)| parked(v, x)), "{at}: row {j} never parked");
+        }
+        let expected_edges = crate::engine::traversed_edges_for(g, &refs.concat(), refs.len());
+        for threads in [1, 3] {
+            let at = format!("{at} threads={threads}");
+            let opts = CpuOptions { width, threads, ..Default::default() };
+            let run = run_once(g, r, opts, &sources).unwrap();
             for (j, d) in refs.iter().enumerate() {
-                assert!(
-                    d.iter().enumerate().any(|(v, &x)| parked(v, x)),
-                    "n={n}: row {j} is never parked"
-                );
+                assert_eq!(run.instance_depths(j), &d[..], "{at} row {j}");
             }
-            let expected_edges = crate::engine::traversed_edges_for(&g, &refs.concat(), refs.len());
-            for threads in [1, 3] {
-                let wide = CpuOptions { width: WordWidth::W256, threads, ..Default::default() };
-                let run = run_once(&g, &r, wide, &sources).unwrap();
-                for (j, d) in refs.iter().enumerate() {
-                    assert_eq!(run.instance_depths(j), &d[..], "n={n} threads={threads} row {j}");
-                }
-                assert_eq!(run.traversed_edges, expected_edges, "n={n} threads={threads}");
-                // A 64-wide mix of star and path sources against the
-                // frozen baseline, bit for bit.
-                let mixed = &sources[96..160];
+            assert_eq!(run.traversed_edges, expected_edges, "{at}");
+            if width == WordWidth::W64 {
+                // The default width against the frozen baseline, bit for
+                // bit.
+                let policy = DirectionPolicy::default();
                 let baseline = crate::cpu_baseline::run_cpu_baseline(
-                    &g,
-                    &r,
-                    mixed,
-                    DirectionPolicy::default(),
-                    threads,
-                    true,
-                    false,
-                    0,
+                    g, r, &sources, policy, threads, true, false, 0,
                 );
-                let narrow = CpuOptions { threads, ..Default::default() };
-                let run = run_once(&g, &r, narrow, mixed).unwrap();
-                assert_eq!(run.depths, baseline.depths, "n={n} threads={threads}");
-                assert_eq!(run.traversed_edges, baseline.traversed_edges, "n={n} threads={threads}");
+                assert_eq!(run.depths, baseline.depths, "{at}");
+                assert_eq!(run.traversed_edges, baseline.traversed_edges, "{at}");
             }
         }
     }

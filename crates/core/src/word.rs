@@ -13,6 +13,13 @@ pub trait StatusWord: Copy + Eq + std::fmt::Debug + Send + Sync + 'static {
     /// Number of instances the word can hold.
     const BITS: u32;
 
+    /// 64-bit lanes the word spans: [`StatusWord::lane`] takes `0..LANES`.
+    const LANES: usize = (Self::BITS as usize).div_ceil(64);
+
+    /// Bits `64k..64k + 64` of the word as a `u64`; a word narrower than
+    /// 64 bits reads zero above its top bit.
+    fn lane(self, k: usize) -> u64;
+
     /// The all-zeros word (no instance has visited the vertex).
     fn zero() -> Self;
 
@@ -88,6 +95,12 @@ macro_rules! impl_word_for_uint {
             const BITS: u32 = $bits;
 
             #[inline]
+            fn lane(self, k: usize) -> u64 {
+                debug_assert!(k < Self::LANES);
+                (self as u128 >> (64 * k)) as u64
+            }
+
+            #[inline]
             fn zero() -> Self {
                 0
             }
@@ -154,6 +167,11 @@ pub struct W256(pub [u64; 4]);
 
 impl StatusWord for W256 {
     const BITS: u32 = 256;
+
+    #[inline]
+    fn lane(self, k: usize) -> u64 {
+        self.0[k]
+    }
 
     #[inline]
     fn zero() -> Self {
@@ -230,6 +248,35 @@ impl StatusWord for W256 {
             }
         }
         256
+    }
+}
+
+/// Transposes a 64×64 bit matrix in place, row `i` being `a[i]` and column
+/// `j` its bit `1 << j`: afterwards bit `j` of `a[i]` is the old bit `i` of
+/// `a[j]`. Six rounds of shift-and-mask (Hacker's Delight §7-3): round `w`
+/// swaps the off-diagonal `w×w` blocks of every `2w×2w` diagonal block.
+pub(crate) fn transpose64(a: &mut [u64; 64]) {
+    // Per round, the columns whose bit `w` is clear.
+    const MASKS: [u64; 6] = [
+        0x0000_0000_FFFF_FFFF,
+        0x0000_FFFF_0000_FFFF,
+        0x00FF_00FF_00FF_00FF,
+        0x0F0F_0F0F_0F0F_0F0F,
+        0x3333_3333_3333_3333,
+        0x5555_5555_5555_5555,
+    ];
+    for (round, m) in MASKS.into_iter().enumerate() {
+        let w = 32 >> round;
+        for block in a.chunks_exact_mut(2 * w) {
+            let (top, bottom) = block.split_at_mut(w);
+            for (x, y) in top.iter_mut().zip(bottom) {
+                // Bit `c` of `t` flags that cell (row x, column c | w)
+                // differs from cell (row y, column c); XOR swaps both.
+                let t = ((*x >> w) ^ *y) & m;
+                *y ^= t;
+                *x ^= t << w;
+            }
+        }
     }
 }
 
@@ -466,6 +513,14 @@ mod tests {
         assert_eq!(m.count_ones(), n);
         assert_eq!(m.iter_ones().collect::<Vec<_>>(), (0..n).collect::<Vec<_>>());
         assert_eq!(W::bytes(), W::BITS / 8);
+        // The lanes reassemble the word; a word narrower than its lanes
+        // reads zero above its top bit.
+        for w in [full, m, W::bit(0), W::bit(W::BITS - 1)] {
+            for i in 0..64 * W::LANES as u32 {
+                let in_lane = w.lane(i as usize / 64) >> (i % 64) & 1 == 1;
+                assert_eq!(in_lane, i < W::BITS && w.has_bit(i), "{w:?} bit {i}");
+            }
+        }
     }
 
     #[test]
@@ -486,6 +541,30 @@ mod tests {
     #[test]
     fn w256_word() {
         exercise::<W256>();
+    }
+
+    #[test]
+    fn lane_counts_cover_each_width() {
+        assert_eq!([u32::LANES, u64::LANES, u128::LANES, W256::LANES], [1, 1, 2, 4]);
+    }
+
+    #[test]
+    fn transpose64_swaps_rows_and_columns() {
+        let cell = |a: &[u64; 64], i: usize, j: usize| a[i] >> j & 1 == 1;
+        let mut rng = ibfs_util::rng::Rng::seed_from_u64(64);
+        let random: [u64; 64] = std::array::from_fn(|_| rng.next_u64());
+        let identity: [u64; 64] = std::array::from_fn(|i| 1 << i);
+        let mut single = [0u64; 64];
+        single[5] = 1 << 40;
+        for a in [random, identity, single, [u64::MAX; 64]] {
+            let mut t = a;
+            transpose64(&mut t);
+            for i in 0..64 {
+                for j in 0..64 {
+                    assert_eq!(cell(&t, i, j), cell(&a, j, i), "cell ({i}, {j})");
+                }
+            }
+        }
     }
 
     #[test]
