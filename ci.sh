@@ -20,10 +20,12 @@ cargo bench --no-run --workspace --offline
 cargo build --examples --offline
 RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links" cargo doc --no-deps --offline
 
-# Telemetry gate: a seeded serve-bench run must emit a metrics snapshot
-# that parses, carries the required serve/cluster/core families, and has
-# well-formed (monotone, bounded) histogram quantiles. metrics-check also
-# re-parses every Prometheus exposition value as a float, so a
+# Telemetry gate: a seeded serve-bench run (its workers run the CPU
+# engine, one lane each) must emit a metrics snapshot that parses,
+# carries the required serve/cluster/core/cpu families, and has
+# well-formed (monotone, bounded) histogram quantiles, and whose batches
+# recorded their levels (ibfs_core_levels_total above 0). metrics-check
+# also re-parses every Prometheus exposition value as a float, so a
 # locale-dependent formatter would fail here.
 SNAP="$(mktemp -t ibfs-metrics.XXXXXX.json)"
 QOS_SNAP="$(mktemp -t ibfs-qos-metrics.XXXXXX.json)"
@@ -39,10 +41,10 @@ cargo run -q --offline -p ibfs-bench --bin metrics-check -- "$SNAP"
 
 # QoS gate: a seeded overload burst (three bulk clients storming in deep
 # bursts against three closed-loop interactive clients, heavy-tailed
-# sources) through the standard QoS policy. --check fails unless
-# interactive p99 beats bulk p99 and the power-law profile finds the
-# result cache; metrics-check then validates the cache and per-class
-# latency families in the same snapshot.
+# sources) through the standard QoS policy, served by the CPU engine.
+# --check fails unless interactive p99 beats bulk p99 and the power-law
+# profile finds the result cache; metrics-check then validates the cache
+# and per-class latency families in the same snapshot.
 cargo run -q --offline -p ibfs-bench --bin bfs -- serve-bench suite:PK \
     --qos --profile powerlaw --clients 6 --bulk-clients 3 --burst 24 \
     --requests 24 --seed 42 --workers 2 --max-batch 8 --check \
@@ -69,12 +71,13 @@ cargo test -q --release --offline --test sharded_differential
 # The CPU engine's differential wall under -O, as the benchmark builds it.
 cargo test -q --release --offline --test cpu_differential
 
-# Profiler export gate: a seeded serve-bench with the profiler attached
-# must export a ProfileReport and a Chrome trace-event file. The binary
-# itself validates the report (schema version, record invariants,
-# non-empty) and exits non-zero otherwise; here we additionally pin that
-# both artifacts are non-empty JSON and that the dashboard renders a
-# frame from the same run's metrics snapshot.
+# Profiler export gate: a seeded serve-bench (CPU engine) with the
+# profiler attached must export a ProfileReport and a Chrome trace-event
+# file, its batch spans in wall-clock time. The binary itself validates
+# the report (schema version, record invariants, non-empty) and exits
+# non-zero otherwise; here we additionally pin that both artifacts are
+# non-empty JSON and that the dashboard renders a frame from the same
+# run's metrics snapshot.
 cargo run -q --release --offline -p ibfs-bench --bin bfs -- serve-bench \
     suite:PK --clients 4 --requests 8 --seed 7 --metrics-out "$SNAP" \
     --profile-out "$PROF" --profile-trace "$TRACE"

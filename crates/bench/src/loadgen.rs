@@ -154,8 +154,9 @@ pub struct LoadGenSummary {
     pub occupancy: f64,
     /// Mean per-batch sharing degree.
     pub sharing_degree: f64,
-    /// Aggregate simulated TEPS across batches.
-    pub sim_teps: f64,
+    /// Aggregate TEPS across batches: traversed edges over the CPU
+    /// engine's wall-clock seconds.
+    pub teps: f64,
     /// Requests rejected on a per-tenant quota.
     pub quota_rejected: u64,
     /// Requests answered straight from the result cache.
@@ -183,7 +184,7 @@ json_struct!(LoadGenSummary {
     num_batches,
     occupancy,
     sharing_degree,
-    sim_teps,
+    teps,
     quota_rejected,
     cache_hits,
     cache_hit_rate,
@@ -305,7 +306,7 @@ pub fn run_loadgen_with(
         num_batches: report.stats.num_batches,
         occupancy: report.stats.occupancy.mean,
         sharing_degree: report.stats.sharing_degree.mean,
-        sim_teps: report.stats.sim_teps,
+        teps: report.stats.teps,
         quota_rejected: report.quota_rejected,
         cache_hits: report.cache_hits,
         cache_hit_rate: report.cache_hit_rate(),

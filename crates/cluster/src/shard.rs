@@ -30,7 +30,7 @@ use ibfs::trace::{GroupStamp, NullSink, TraceSink, TraversalEvent};
 use ibfs_graph::partition::{OwnershipLayout, Partition, Partitioner, ShardGraph, VertexOwner};
 use ibfs_graph::{Csr, Depth, VertexId, DEPTH_UNVISITED};
 use ibfs_gpu_sim::{Counters, DeviceConfig, PhaseKind, PhaseTimer, Profiler, SimTimer};
-use ibfs_obs::{EngineProfiler, ProfPhase, Registry};
+use ibfs_obs::{EngineProfiler, ProfPhase};
 use ibfs_util::json_struct;
 use std::sync::Arc;
 
@@ -97,12 +97,6 @@ impl ShardedRun {
     /// Traversed edges per simulated second.
     pub fn teps(&self) -> f64 {
         ibfs::metrics::teps(self.traversed_edges, self.sim_seconds)
-    }
-
-    /// Records the run's communication activity into the
-    /// `ibfs_cluster_comm_*` families of `registry`.
-    pub fn record_comm_metrics(&self, registry: &Registry) {
-        self.comm.record(registry);
     }
 }
 
@@ -626,11 +620,6 @@ impl<'g> ShardedService<'g> {
         &self.config
     }
 
-    /// The grouping in effect (after the wave-width clamp).
-    pub fn grouping(&self) -> &GroupingStrategy {
-        &self.grouping
-    }
-
     /// Shard count.
     pub fn num_shards(&self) -> usize {
         self.partition.num_shards()
@@ -984,6 +973,7 @@ impl<'g> ShardedService<'g> {
                 store_transactions: delta.global_store_transactions,
                 atomic_transactions: delta.atomic_transactions,
                 sim_seconds: level_seconds,
+                wall_seconds: 0.0,
             });
             levels.push(agg_stats);
         }

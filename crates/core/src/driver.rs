@@ -180,6 +180,7 @@ impl LevelDriver<'_> {
                 store_transactions: delta.global_store_transactions,
                 atomic_transactions: delta.atomic_transactions,
                 sim_seconds: self.timer.seconds() - seconds_before,
+                wall_seconds: 0.0,
             });
             levels.push(stats);
         }

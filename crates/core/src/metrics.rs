@@ -74,12 +74,12 @@ pub fn batch_occupancy(requests: usize, max_batch: usize) -> f64 {
 }
 
 /// Per-batch serve metrics, recorded by the serve layer's workers — one
-/// record per batch dispatched to a device.
+/// record per batch dispatched to a worker.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BatchMetrics {
     /// Batch sequence number (dispatch order).
     pub batch: u64,
-    /// Device (worker) that executed the batch.
+    /// Worker that executed the batch.
     pub device: u64,
     /// Requests answered by the batch (distinct sources traversed).
     pub requests: u64,
@@ -90,11 +90,12 @@ pub struct BatchMetrics {
     pub queue_wait_s: f64,
     /// [`event_sharing_degree`] of the batch's traversal.
     pub sharing_degree: f64,
-    /// Simulated seconds of the batch's traversal.
+    /// Wall-clock seconds the CPU engine spent on the batch's traversal
+    /// (the `benchmark` package reads the field under this name).
     pub sim_seconds: f64,
     /// Edges traversed across the batch's instances.
     pub traversed_edges: u64,
-    /// Simulated TEPS of the batch.
+    /// TEPS of the batch (edges over `sim_seconds`).
     pub teps: f64,
 }
 
@@ -266,6 +267,7 @@ mod tests {
             store_transactions: 0,
             atomic_transactions: 0,
             sim_seconds: 0.0,
+            wall_seconds: 0.0,
         };
         let events = [event(2, 4), event(1, 2)];
         assert_eq!(event_sharing_degree(&events), 2.0);

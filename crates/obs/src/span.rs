@@ -26,8 +26,9 @@ pub type RequestId = u64;
 pub const NO_CORRELATION: u64 = u64::MAX;
 
 /// Version stamped into every trace line (traversal and span events alike).
-/// v1 was the pre-span schema without `schema_version`/`batch` fields.
-pub const TRACE_SCHEMA_VERSION: u64 = 2;
+/// v1 was the pre-span schema without `schema_version`/`batch` fields; v2
+/// level events carry no `wall_seconds`.
+pub const TRACE_SCHEMA_VERSION: u64 = 3;
 
 /// Monotone id allocator. Ids start at 1 so 0 never names a real request.
 #[derive(Debug)]
@@ -211,7 +212,7 @@ mod tests {
             .with_batch(4)
             .with_device(1);
         let text = e.to_json().to_string();
-        assert!(text.contains("\"schema_version\":2"));
+        assert!(text.contains("\"schema_version\":3"));
         assert!(text.contains("\"kind\":\"span\""));
         assert!(text.contains("\"stage\":\"Completed\""));
         let back = SpanEvent::from_json(&Json::parse(&text).unwrap()).unwrap();

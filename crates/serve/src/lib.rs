@@ -1,14 +1,15 @@
-//! `ibfs-serve` — a concurrent batching front-end over the resident
-//! [`ibfs::service::IbfsService`].
+//! `ibfs-serve` — a concurrent batching front-end over the resident CPU
+//! engine, [`ibfs::cpu::CpuService`].
 //!
 //! The paper's motivating workloads (all-pairs analytics, centrality,
 //! reachability indexing) arrive as *streams* of BFS requests, not one
 //! prepared batch. This crate closes that gap: many client threads submit
 //! single-source requests; a batcher coalesces a short admission window
-//! into GroupBy-grouped batches under the §3 device-memory clamp; a router
-//! spreads batches across per-device worker threads, each owning a
-//! resident service; every request resolves with exactly one of a depth
-//! array or a typed [`ServeError`].
+//! into batches of at most one CPU group, in arrival order or by the
+//! paper's §5.2 GroupBy rules; a router spreads batches across worker
+//! threads, each owning a resident `CpuService` that runs a batch as one
+//! group and emits its per-level events; every request resolves with
+//! exactly one of a depth array or a typed [`ServeError`].
 //!
 //! Entry point: [`serve`] — run a closure against a [`ServeHandle`], get a
 //! [`ServeReport`] back after graceful drain. Layers, front to back:
@@ -20,8 +21,7 @@
 //! * [`qos`] — the multi-tenant front door: priority classes, the
 //!   weighted-fair admission queue, per-tenant quotas, in-flight dedup,
 //!   and the epoch-tagged LRU result cache.
-//! * [`coalesce`] — window → batches planning, including the
-//!   early-level-sharing score that arbitrates GroupBy vs arrival order.
+//! * [`coalesce`] — window → batches planning (arrival order or GroupBy).
 //! * [`server`] — admission, batching, routing, workers, lifecycle.
 //! * [`metrics`] — per-batch records and the end-of-run [`ServeReport`].
 //! * [`slo`] — the rolling per-class SLO tracker behind the live
@@ -35,7 +35,7 @@ pub mod qos;
 pub mod server;
 pub mod slo;
 
-pub use coalesce::{plan, BatchPlan, CoalescePolicy, SCORE_LEVELS};
+pub use coalesce::{plan, BatchPlan, CoalescePolicy};
 pub use error::ServeError;
 pub use metrics::{class_metric, Collector, ServeReport, ServeStats, ServeTelemetry};
 pub use qos::{
@@ -43,7 +43,7 @@ pub use qos::{
     TenantId, NUM_CLASSES,
 };
 pub use server::{
-    effective_max_batch, serve, serve_with, BfsResponse, RouterKind, SchedulerKind, ServeConfig,
-    ServeHandle, Ticket,
+    effective_max_batch, serve, serve_with, BfsResponse, RouterKind, ServeConfig, ServeHandle,
+    Ticket,
 };
 pub use slo::{register_slo_metrics, SloConfig, SloObjective, SloTracker};

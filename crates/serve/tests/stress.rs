@@ -15,7 +15,7 @@ use ibfs_graph::generators::{rmat, RmatParams};
 use ibfs_graph::validate::reference_bfs;
 use ibfs_graph::{Csr, Depth, VertexId};
 use ibfs_serve::{
-    serve, Class, CoalescePolicy, QosPolicy, ServeConfig, ServeError, ServeReport, TenantId,
+    serve, Class, QosPolicy, ServeConfig, ServeError, ServeReport, TenantId,
 };
 use ibfs_util::rng::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -252,7 +252,6 @@ fn try_submit_burst_on_tiny_queue_reports_overload() {
         worker_queue_capacity: 1,
         max_batch: 1, // every request is its own batch: slowest pipeline
         batch_window: Duration::ZERO,
-        policy: CoalescePolicy::BestOf,
         ..Default::default()
     };
     let ((oks, overloads), report) = serve(&g, &r, config, |h| {

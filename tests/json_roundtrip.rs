@@ -191,7 +191,7 @@ fn loadgen_summary_round_trips() {
         num_batches: 32,
         occupancy: 0.9,
         sharing_degree: 4.2,
-        sim_teps: 1.0e10,
+        teps: 1.0e10,
         quota_rejected: 3,
         cache_hits: 40,
         cache_hit_rate: 0.16,
@@ -225,6 +225,7 @@ fn sample_level_event() -> ibfs_repro::ibfs::trace::TraversalEvent {
         store_transactions: 1 << 19,
         atomic_transactions: 512,
         sim_seconds: 0.0015,
+        wall_seconds: 0.0,
     }
 }
 
@@ -248,6 +249,19 @@ fn traversal_event_round_trips_with_schema_version() {
     let old = TraversalEvent::from_json(&Json::parse(v1).unwrap()).unwrap();
     assert_eq!(old.batch, 0);
     assert_eq!(old.level, 2);
+    assert_eq!(old.wall_seconds, 0.0);
+
+    // A CPU level carries wall time only and round-trips as such; its v2
+    // form (no wall_seconds) still decodes, with 0 in the field.
+    let cpu = TraversalEvent { sim_seconds: 0.0, wall_seconds: 4.5e-4, ..e };
+    assert_eq!(round_trip_text(&cpu), cpu);
+    let v2 = set_field(&cpu.to_json(), "schema_version", Json::UInt(2));
+    let Json::Obj(fields) = v2 else { unreachable!() };
+    let v2 = Json::Obj(fields.into_iter().filter(|(k, _)| k != "wall_seconds").collect());
+    assert_eq!(
+        TraversalEvent::from_json(&v2).unwrap(),
+        TraversalEvent { wall_seconds: 0.0, ..cpu }
+    );
 
     // Lines from a future schema are rejected, not silently misread.
     let future = set_field(&json, "schema_version", Json::UInt(TRACE_SCHEMA_VERSION + 1));

@@ -1,16 +1,21 @@
-//! Differential pinning of the serve path against the one-shot runner.
+//! Differential pinning of the serve path against single-source
+//! references.
 //!
 //! A seeded stream of single-source requests is pushed through the
 //! batching front-end from several client threads; every depth array that
-//! comes back must be **bit-identical** to a one-shot
-//! [`ibfs::runner::run_ibfs`] of the same source on the same graph — the
-//! batcher, the GroupBy coalescing, the router, and the resident services
-//! may change *when* and *with whom* a source is traversed, but never the
-//! answer. Depth arrays are compared both directly and through the same
-//! FNV-1a hash the golden snapshot suite uses.
+//! comes back must be **bit-identical** to [`reference_bfs`] of the same
+//! source on the same graph, and so to the frozen pre-pool CPU engine
+//! ([`run_cpu_baseline`]), which is checked against it — the batcher, the
+//! GroupBy coalescing, the router, and the resident CPU services may
+//! change *when* and *with whom* a source is traversed, but never the
+//! answer. (`tests/engine_correctness.rs` pins the CPU depths to the GPU
+//! engines'.) Depth arrays are compared both directly and through the
+//! same FNV-1a hash the golden snapshot suite uses.
 
-use ibfs::runner::{run_ibfs, RunConfig};
+use ibfs::cpu_baseline::run_cpu_baseline;
+use ibfs::direction::DirectionPolicy;
 use ibfs_graph::generators::{rmat, RmatParams};
+use ibfs_graph::validate::reference_bfs;
 use ibfs_graph::{Csr, Depth, VertexId};
 use ibfs_serve::{serve, CoalescePolicy, QosPolicy, ResultCache, ServeConfig};
 use ibfs_util::rng::Rng;
@@ -41,12 +46,14 @@ fn differential_seed() -> u64 {
         .unwrap_or(42)
 }
 
-/// One-shot ground truth: `run_ibfs` with a single source is one group
-/// with one instance.
+/// Ground truth for one source: `reference_bfs`, with the frozen
+/// baseline engine's one-instance run pinned to it.
 fn one_shot_depths(g: &Csr, r: &Csr, source: VertexId) -> Vec<Depth> {
-    let run = run_ibfs(g, r, &[source], &RunConfig::default());
-    assert_eq!(run.num_instances(), 1);
-    run.groups[0].instance_depths(0).to_vec()
+    let want = reference_bfs(g, source);
+    let baseline =
+        run_cpu_baseline(g, r, &[source], DirectionPolicy::default(), 2, true, false, 0);
+    assert_eq!(baseline.depths, want, "baseline diverged from reference_bfs for {source}");
+    want
 }
 
 fn check_stream(policy: CoalescePolicy, clients: usize, per_client: usize) {
@@ -70,7 +77,7 @@ fn check_stream(policy: CoalescePolicy, clients: usize, per_client: usize) {
         })
         .collect();
 
-    // Ground truth for every distinct source via the one-shot runner.
+    // Ground truth for every distinct source.
     let mut want: HashMap<VertexId, Vec<Depth>> = HashMap::new();
     for &s in streams.iter().flatten() {
         want.entry(s).or_insert_with(|| one_shot_depths(&g, &r, s));
@@ -127,15 +134,10 @@ fn serve_matches_one_shot_runner_groupby() {
 }
 
 #[test]
-fn serve_matches_one_shot_runner_best_of() {
-    check_stream(CoalescePolicy::BestOf, 4, 30);
-}
-
-#[test]
 fn deduped_fanout_is_bit_identical_for_every_waiter() {
     // Nine concurrent clients ask for the same source while dedup is on:
     // one leads, eight join the in-flight traversal, and every one of the
-    // nine answers must be bit-identical to the one-shot runner.
+    // nine answers must be bit-identical to the reference.
     let g = golden_graph();
     let r = g.reverse();
     let source: VertexId = 7;
