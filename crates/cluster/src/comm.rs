@@ -351,9 +351,9 @@ impl CommStats {
         self.per_level.extend_from_slice(&other.per_level);
     }
 
-    /// Records the stats into the `ibfs_cluster_comm_*` metric families.
+    /// Records the stats into the `ibfs_cluster_comm_*` metric families,
+    /// all seven of them even when there was no traffic.
     pub fn record(&self, registry: &Registry) {
-        register_comm_metrics(registry);
         registry.counter("ibfs_cluster_comm_messages_total").add(self.messages);
         registry.counter("ibfs_cluster_comm_bytes_total").add(self.bytes);
         registry
@@ -371,19 +371,6 @@ impl CommStats {
             bytes.record(lc.bytes as f64);
         }
     }
-}
-
-/// Eagerly registers every `ibfs_cluster_comm_*` family so a zero-traffic
-/// snapshot still carries the full schema (the `metrics-check` gate
-/// requires presence, not traffic).
-pub fn register_comm_metrics(registry: &Registry) {
-    registry.counter("ibfs_cluster_comm_messages_total");
-    registry.counter("ibfs_cluster_comm_bytes_total");
-    registry.counter("ibfs_cluster_comm_dense_payloads_total");
-    registry.counter("ibfs_cluster_comm_exchanges_total");
-    registry.histogram("ibfs_cluster_comm_exchange_seconds");
-    registry.histogram("ibfs_cluster_comm_level_messages");
-    registry.histogram("ibfs_cluster_comm_level_bytes");
 }
 
 #[cfg(test)]
@@ -544,7 +531,7 @@ mod tests {
     #[test]
     fn eager_registration_produces_zero_valued_families() {
         let registry = Registry::new();
-        register_comm_metrics(&registry);
+        CommStats::default().record(&registry);
         let snap = registry.snapshot();
         let names: Vec<&str> = snap.metrics.iter().map(|m| m.name.as_str()).collect();
         for want in [
@@ -558,5 +545,6 @@ mod tests {
         ] {
             assert!(names.contains(&want), "missing {want}");
         }
+        assert_eq!(registry.counter("ibfs_cluster_comm_messages_total").value(), 0);
     }
 }

@@ -14,7 +14,7 @@ pub mod router;
 pub mod shard;
 pub mod scaling;
 
-pub use comm::{allgather_cost, encode_payload, register_comm_metrics, scatter_cost, CommConfig, CommStats, ExchangeCost, ExchangePattern, LevelComm, Payload};
+pub use comm::{allgather_cost, encode_payload, scatter_cost, CommConfig, CommStats, ExchangeCost, ExchangePattern, LevelComm, Payload};
 pub use router::{batch_weight, fanout_weight, BatchRouter, LeastLoaded, RoundRobin};
 pub use scaling::{run_cluster, ClusterConfig, ClusterRun, DeviceRun};
 pub use shard::{run_sharded, ShardLevelEngine, ShardedConfig, ShardedRun, ShardedService, ShardedSummary, WAVE_WIDTH};
