@@ -18,7 +18,9 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 IBFS_STRESS_SEED=42 cargo test -q --release -p ibfs-serve --offline
 cargo bench --no-run --workspace --offline
 cargo build --examples --offline
-RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links" cargo doc --no-deps --offline
+# Every crate's docs, not only the root package's: a broken intra-doc
+# link anywhere in the workspace fails here.
+RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links" cargo doc --no-deps --workspace --offline
 
 # Telemetry gate: a seeded serve-bench run (its workers run the CPU
 # engine, one lane each) must emit a metrics snapshot that parses,
@@ -60,14 +62,6 @@ cargo run -q --release --offline -p ibfs-bench --bin bfs -- cpu-bench \
     --repeat 5 --check --out "$BENCH"
 test -s "$BENCH"
 
-# Sharded-traversal gate: the seeded shard-bench --check fails unless the
-# 4-shard sharded depths are bit-identical to reference_bfs on the
-# scale-12 R-MAT and the Butterfly exchange puts strictly fewer messages
-# on the wire than AllToAll; the differential suite then pins run_sharded
-# to run_ibfs across shard counts, layouts and patterns under -O.
-cargo run -q --release --offline -p ibfs-bench --bin bfs -- shard-bench \
-    --shards 4 --check
-cargo test -q --release --offline --test sharded_differential
 # The CPU engine's differential wall under -O, as the benchmark builds it.
 cargo test -q --release --offline --test cpu_differential
 

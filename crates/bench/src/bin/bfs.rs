@@ -17,9 +17,6 @@
 //!             [--group-size N] [--threads N[,N...]] [--width 32|64|128|256]
 //!             [--repeat N] [--check] [--out PATH] [--profile-out PATH]
 //!             [--profile-trace PATH]
-//! bfs shard-bench [--scale N] [--edge-factor N] [--seed N] [--sources N]
-//!             [--shards N] [--layout contiguous|hash] [--check] [--json]
-//!             [--out PATH] [--profile-out PATH] [--profile-trace PATH]
 //! bfs perf-diff <BASE.json> <NEW.json> [--noise PCT] [--calibrate ENGINE] [--check]
 //! bfs bench-pairs <PARENT_DIR> <CHANGE_DIR> [--spec BENCHMARK.json]
 //! bfs top <SNAPSHOT.json> [--ticks N] [--interval-ms N] [--no-clear]
@@ -41,12 +38,6 @@
 //! `--cache`/`--bulk-quota` size the cache and the bulk tenant's quota;
 //! `--check` fails the run unless interactive p99 beats bulk p99 and a
 //! power-law run with a cache records at least one hit.
-//! `shard-bench` sweeps power-of-two shard counts up to `--shards` over a
-//! weak-scaling R-MAT workload and reports frontier-exchange volume
-//! (total and per level) for both exchange patterns; its `--check` fails
-//! unless sharded depths are bit-identical to `reference_bfs` and
-//! Butterfly exchanges strictly fewer messages than AllToAll at ≥ 4
-//! shards.
 //!
 //! The CPU engine on the one-shot path (`--engine pooled`) runs
 //! through the measured `CpuService`; `--trace` writes its level events
@@ -95,10 +86,6 @@ fn main() -> ExitCode {
     if args[0] == "cpu-bench" {
         args.remove(0);
         return cpu_bench(args);
-    }
-    if args[0] == "shard-bench" {
-        args.remove(0);
-        return shard_bench(args);
     }
     if args[0] == "perf-diff" {
         args.remove(0);
@@ -944,119 +931,6 @@ fn cpu_bench(args: Vec<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn shard_bench(args: Vec<String>) -> ExitCode {
-    use ibfs_bench::shardbench::{run_shard_bench, ShardBenchConfig};
-    use ibfs_graph::partition::OwnershipLayout;
-    let mut cfg = ShardBenchConfig::default();
-    let mut out: Option<String> = None;
-    let mut json = false;
-    let mut profile_out: Option<String> = None;
-    let mut profile_trace: Option<String> = None;
-
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => {
-                cfg.scale = match it.next().and_then(|s| s.parse().ok()) {
-                    Some(n) => n,
-                    None => return usage("--scale needs a number"),
-                }
-            }
-            "--edge-factor" => {
-                cfg.edge_factor = match it.next().and_then(|s| s.parse().ok()) {
-                    Some(n) => n,
-                    None => return usage("--edge-factor needs a number"),
-                }
-            }
-            "--seed" => {
-                cfg.seed = match it.next().and_then(|s| s.parse().ok()) {
-                    Some(n) => n,
-                    None => return usage("--seed needs a number"),
-                }
-            }
-            "--sources" => {
-                cfg.sources = match it.next().and_then(|s| s.parse().ok()) {
-                    Some(n) => n,
-                    None => return usage("--sources needs a number"),
-                }
-            }
-            "--shards" => {
-                cfg.max_shards = match it.next().and_then(|s| s.parse().ok()) {
-                    Some(n) if n >= 1 => n,
-                    _ => return usage("--shards needs a positive number"),
-                }
-            }
-            "--layout" => match it.next().as_deref() {
-                Some("contiguous") => cfg.layout = OwnershipLayout::Contiguous,
-                Some("hash") => cfg.layout = OwnershipLayout::Hash,
-                _ => return usage("--layout expects contiguous|hash"),
-            },
-            "--check" => cfg.check = true,
-            "--json" => json = true,
-            "--out" => {
-                out = match it.next() {
-                    Some(p) => Some(p),
-                    None => return usage("--out needs a path (or `-` for stdout)"),
-                }
-            }
-            "--profile-out" => {
-                profile_out = match it.next() {
-                    Some(p) => Some(p),
-                    None => return usage("--profile-out needs a path (or `-` for stdout)"),
-                }
-            }
-            "--profile-trace" => {
-                profile_trace = match it.next() {
-                    Some(p) => Some(p),
-                    None => return usage("--profile-trace needs a path (or `-` for stdout)"),
-                }
-            }
-            other => return usage(&format!("shard-bench: unknown option {other}")),
-        }
-    }
-    let profiler =
-        (profile_out.is_some() || profile_trace.is_some()).then(EngineProfiler::shared);
-    cfg.profiler = profiler.clone();
-
-    eprintln!(
-        "shard-bench: rmat base scale {} edge-factor {} seed {}; {} sources, up to {} \
-         shards, {:?} layout{}",
-        cfg.scale,
-        cfg.edge_factor,
-        cfg.seed,
-        cfg.sources,
-        cfg.max_shards,
-        cfg.layout,
-        if cfg.check { " (checked against reference_bfs + message-count gate)" } else { "" },
-    );
-    let report = match run_shard_bench(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if json {
-        println!("{}", report.to_json().to_string_pretty());
-    } else {
-        print!("{}", report.weak_scaling.render());
-        print!("{}", report.per_level.render());
-    }
-    if let Some(path) = &out {
-        if let Err(code) = write_output(path, &report.to_json().to_string_pretty(), "shard bench report") {
-            return code;
-        }
-    }
-    if let Some(p) = &profiler {
-        if let Err(code) =
-            export_profile(p, "shard-bench", profile_out.as_deref(), profile_trace.as_deref())
-        {
-            return code;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
 /// `bfs perf-diff` — compare two `BENCH_cpu.json` documents and fail (with
 /// `--check`) on TEPS regressions beyond the noise band.
 fn perf_diff(args: Vec<String>) -> ExitCode {
@@ -1259,9 +1133,6 @@ fn usage(msg: &str) -> ExitCode {
        bfs cpu-bench [--scale N] [--edge-factor N] [--seed N] [--sources N] \
          [--group-size N] [--threads N[,N...]] [--width 32|64|128|256] \
          [--repeat N] [--check] [--out PATH|-] [--profile-out PATH|-] [--profile-trace PATH|-]\n\
-       bfs shard-bench [--scale N] [--edge-factor N] [--seed N] [--sources N] \
-         [--shards N] [--layout contiguous|hash] [--check] [--json] [--out PATH|-] \
-         [--profile-out PATH|-] [--profile-trace PATH|-]\n\
        bfs perf-diff <BASE.json> <NEW.json> [--noise PCT] [--calibrate ENGINE] [--check]\n\
        bfs bench-pairs <PARENT_DIR> <CHANGE_DIR> [--spec BENCHMARK.json]\n\
        bfs top <SNAPSHOT.json> [--ticks N] [--interval-ms N] [--no-clear]"

@@ -1,5 +1,5 @@
 //! Figure 20: speedup of iBFS's bitwise operation over the MS-BFS-style
-//! bitwise baseline ([26]), under random grouping and under GroupBy.
+//! bitwise baseline (`[26]`), under random grouping and under GroupBy.
 //!
 //! Paper shape: ~1.4× with random groups, ~2.6× with GroupBy — the extra
 //! improvement comes from early termination paying off when grouped

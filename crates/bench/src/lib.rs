@@ -12,7 +12,6 @@ pub mod loadgen;
 pub mod pairs;
 pub mod perfdiff;
 pub mod result;
-pub mod shardbench;
 pub mod top;
 
 use ibfs::word::WordWidth;

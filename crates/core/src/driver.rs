@@ -14,10 +14,8 @@
 //! per-instance engines with the Hyper-Q demand accumulator — the driver
 //! does not care which.
 
-use crate::direction::Direction;
 use crate::engine::LevelStats;
 use crate::trace::{TraceSink, TraversalEvent};
-use ibfs_graph::VertexId;
 use ibfs_gpu_sim::{PhaseTimer, Profiler};
 
 /// The narrow per-level interface an engine implements to be driven.
@@ -45,101 +43,6 @@ pub trait LevelEngine {
         prof: &mut Profiler,
         timer: &mut dyn PhaseTimer,
     ) -> LevelStats;
-}
-
-/// A frontier update crossing an engine boundary: the instances in `mask`
-/// (one bit per instance of the running group) discovered global vertex
-/// `vertex`. The depth is implied by the level at which the update is
-/// applied — level-synchronous exchange keeps depths deterministic no
-/// matter which engine produced the update.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FrontierUpdate {
-    /// Global vertex id.
-    pub vertex: VertexId,
-    /// Discovering instances, one bit per instance (group size ≤ 64).
-    pub mask: u64,
-}
-
-/// Aggregate next-frontier statistics an exchange coordinator reads to
-/// agree on a global traversal direction (the α/β vote of
-/// [`crate::direction::DirectionPolicy`] needs cluster-wide totals, not one
-/// engine's local view).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FrontierStats {
-    /// Distinct vertices in the engine's next frontier.
-    pub frontier_vertices: u64,
-    /// Out-edges of those vertices (global out-degrees).
-    pub frontier_edges: u64,
-    /// Out-edges of still-unvisited vertices, summed over instances.
-    pub unexplored_edges: u64,
-}
-
-impl FrontierStats {
-    /// Component-wise sum, for aggregating across engines.
-    pub fn add(&self, other: &FrontierStats) -> FrontierStats {
-        FrontierStats {
-            frontier_vertices: self.frontier_vertices + other.frontier_vertices,
-            frontier_edges: self.frontier_edges + other.frontier_edges,
-            unexplored_edges: self.unexplored_edges + other.unexplored_edges,
-        }
-    }
-}
-
-/// A [`LevelEngine`] that can participate in a lockstep multi-engine
-/// traversal by accepting externally-injected frontier updates between
-/// levels — the generalization the sharded cluster layer drives.
-///
-/// Protocol, per level `k` run by a coordinator over `P` engines:
-///
-/// 1. The coordinator sums [`ExchangeEngine::frontier_stats`] and picks one
-///    global [`Direction`], announced via [`ExchangeEngine::set_direction`].
-/// 2. Bottom-up only: each engine's previous-level discoveries
-///    ([`ExchangeEngine::frontier_snapshot`]) are delivered to every peer
-///    via [`ExchangeEngine::inject_frontier`] (an allgather), so unvisited
-///    vertices can find parents owned elsewhere.
-/// 3. Every engine runs [`LevelEngine::run_level`]`(k)` — an engine with an
-///    empty local frontier still participates (bottom-up scans owned
-///    unvisited vertices regardless).
-/// 4. Top-down only: discoveries of non-owned vertices are drained with
-///    [`ExchangeEngine::take_outbound`] and applied at their owners via
-///    [`ExchangeEngine::inject_candidates`], which assigns depth `k` to any
-///    candidate not already visited.
-///
-/// How updates travel between engines (pattern, latency, bandwidth) is the
-/// coordinator's business; the engine only produces and consumes them.
-pub trait ExchangeEngine: LevelEngine {
-    /// Announces the globally-agreed direction for the next level.
-    fn set_direction(&mut self, dir: Direction);
-
-    /// This engine's local contribution to the direction vote.
-    fn frontier_stats(&self) -> FrontierStats;
-
-    /// Drains updates destined to other engines, indexed by destination
-    /// (length = number of participating engines; own slot empty).
-    fn take_outbound(&mut self) -> Vec<Vec<FrontierUpdate>>;
-
-    /// Applies peer discoveries of vertices this engine owns: unvisited
-    /// candidates get the depth of the level just run and join the next
-    /// frontier. Device-side cost is charged to `prof`/`timer`.
-    fn inject_candidates(
-        &mut self,
-        updates: &[FrontierUpdate],
-        prof: &mut Profiler,
-        timer: &mut dyn PhaseTimer,
-    );
-
-    /// The vertices this engine newly visited at the last level — what
-    /// peers need in their global frontier view before a bottom-up level.
-    fn frontier_snapshot(&self) -> Vec<FrontierUpdate>;
-
-    /// Merges a peer's [`ExchangeEngine::frontier_snapshot`] into this
-    /// engine's view of the global frontier (bottom-up parent checks).
-    fn inject_frontier(
-        &mut self,
-        updates: &[FrontierUpdate],
-        prof: &mut Profiler,
-        timer: &mut dyn PhaseTimer,
-    );
 }
 
 /// Drives a [`LevelEngine`] to completion.

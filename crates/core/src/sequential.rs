@@ -9,7 +9,7 @@
 //!
 //! The per-level loop itself lives in [`crate::driver::LevelDriver`]; this
 //! module contributes the single-source [`LevelEngine`] and the
-//! [`PhaseAccum`] timer that prices levels both solo (roofline) and as
+//! `PhaseAccum` timer that prices levels both solo (roofline) and as
 //! Hyper-Q demand for the naive engine.
 
 use crate::direction::{Direction, DirectionPolicy};

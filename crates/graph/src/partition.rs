@@ -1,25 +1,12 @@
-//! Work and graph partitioning: contiguous range splitting, LPT bin
-//! packing for the multi-GPU cluster simulation, and the 1D owner-per-vertex
-//! graph [`Partitioner`] behind the sharded traversal stack.
-//!
-//! The sharded pieces follow the classic distributed-memory BFS design
-//! (Buluç & Madduri, arXiv:1104.4518): every vertex has exactly one owner
-//! shard, a shard holds the full out-edge and in-edge lists of its owned
-//! vertices (targets keep their *global* ids), and both supported ownership
-//! layouts — [`OwnershipLayout::Contiguous`] ranges and
-//! [`OwnershipLayout::Hash`] (cyclic) — give O(1) closed-form owner lookup
-//! and local↔global id translation, so no ghost tables are needed.
+//! Work partitioning: contiguous range splitting and LPT bin packing, for
+//! the multi-GPU cluster simulation, the serve router and the CPU baseline.
 
-use crate::csr::Csr;
-use crate::VertexId;
-use ibfs_util::json_enum;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Splits `0..total` into `parts` contiguous ranges whose lengths differ by
 /// at most one. Returns exactly `parts` ranges (some possibly empty when
-/// `total < parts`). This is the range rule behind
-/// [`OwnershipLayout::Contiguous`] vertex ownership.
+/// `total < parts`).
 pub fn even_ranges(total: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     assert!(parts > 0, "parts must be positive");
     let base = total / parts;
@@ -67,258 +54,9 @@ pub fn bin_loads(weights: &[u64], assignment: &[usize], bins: usize) -> Vec<u64>
     load
 }
 
-/// How global vertex ids map to owner shards in the 1D partition.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum OwnershipLayout {
-    /// Shard `s` owns the `s`-th of [`even_ranges`]`(n, shards)` — vertex
-    /// ids stay clustered, which keeps range-local structure (and makes the
-    /// one-shard partition trivially byte-identical to the input CSR).
-    Contiguous,
-    /// Cyclic (modular-hash) ownership: vertex `v` belongs to shard
-    /// `v % shards` with local id `v / shards`. Scatters hubs across shards
-    /// at the price of destroying locality.
-    Hash,
-}
-
-json_enum!(OwnershipLayout { Contiguous, Hash });
-
-impl OwnershipLayout {
-    /// Both layouts, in a stable order (test matrices iterate this).
-    pub fn all() -> [OwnershipLayout; 2] {
-        [OwnershipLayout::Contiguous, OwnershipLayout::Hash]
-    }
-}
-
-/// Owner map of a 1D vertex partition: O(1) owner lookup and local↔global
-/// id translation for a fixed `(layout, num_vertices, shards)` triple.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct VertexOwner {
-    layout: OwnershipLayout,
-    num_vertices: usize,
-    shards: usize,
-    /// Contiguous layout: every shard owns `base` vertices, the first
-    /// `extra` shards one more.
-    base: usize,
-    extra: usize,
-}
-
-impl VertexOwner {
-    /// The owner map for `num_vertices` vertices over `shards` shards.
-    pub fn new(layout: OwnershipLayout, num_vertices: usize, shards: usize) -> Self {
-        assert!(shards > 0, "shards must be positive");
-        VertexOwner {
-            layout,
-            num_vertices,
-            shards,
-            base: num_vertices / shards,
-            extra: num_vertices % shards,
-        }
-    }
-
-    /// The layout this map implements.
-    pub fn layout(&self) -> OwnershipLayout {
-        self.layout
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Number of global vertices.
-    pub fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    /// Number of vertices shard `shard` owns.
-    pub fn num_owned(&self, shard: usize) -> usize {
-        debug_assert!(shard < self.shards);
-        match self.layout {
-            OwnershipLayout::Contiguous => self.base + usize::from(shard < self.extra),
-            OwnershipLayout::Hash => (self.num_vertices + self.shards - 1 - shard) / self.shards,
-        }
-    }
-
-    /// First global id of shard `shard`'s contiguous range.
-    fn range_start(&self, shard: usize) -> usize {
-        shard * self.base + shard.min(self.extra)
-    }
-
-    /// The shard owning global vertex `v`.
-    pub fn owner_of(&self, v: VertexId) -> usize {
-        let v = v as usize;
-        debug_assert!(v < self.num_vertices);
-        match self.layout {
-            OwnershipLayout::Contiguous => {
-                let cut = self.extra * (self.base + 1);
-                if v < cut {
-                    v / (self.base + 1)
-                } else {
-                    self.extra + (v - cut) / self.base
-                }
-            }
-            OwnershipLayout::Hash => v % self.shards,
-        }
-    }
-
-    /// Local id of global vertex `v` within its owner shard.
-    pub fn to_local(&self, v: VertexId) -> u32 {
-        match self.layout {
-            OwnershipLayout::Contiguous => {
-                (v as usize - self.range_start(self.owner_of(v))) as u32
-            }
-            OwnershipLayout::Hash => v / self.shards as u32,
-        }
-    }
-
-    /// Global id of `(shard, local)`.
-    pub fn to_global(&self, shard: usize, local: u32) -> VertexId {
-        debug_assert!((local as usize) < self.num_owned(shard));
-        match self.layout {
-            OwnershipLayout::Contiguous => (self.range_start(shard) + local as usize) as VertexId,
-            OwnershipLayout::Hash => local * self.shards as u32 + shard as VertexId,
-        }
-    }
-}
-
-/// One shard's slice of the graph under 1D owner-computes partitioning:
-/// the out-edge and in-edge lists of its owned vertices, in local row
-/// order, with edge endpoints kept as *global* ids (translation back to
-/// owner/local is O(1) via [`VertexOwner`]).
-///
-/// Keeping each owned vertex's full out-edge list on its owner is what
-/// makes the sharded traversal's per-instance traversed-edge total equal
-/// the single-device definition (out-degrees of visited vertices) shard by
-/// shard.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardGraph {
-    /// This shard's index.
-    pub shard: usize,
-    out_offsets: Vec<u64>,
-    out_adj: Vec<VertexId>,
-    in_offsets: Vec<u64>,
-    in_adj: Vec<VertexId>,
-}
-
-impl ShardGraph {
-    /// Number of vertices this shard owns.
-    pub fn num_owned(&self) -> usize {
-        self.out_offsets.len() - 1
-    }
-
-    /// Out-degree of owned local vertex `local` (its global out-degree).
-    pub fn out_degree(&self, local: u32) -> u32 {
-        (self.out_offsets[local as usize + 1] - self.out_offsets[local as usize]) as u32
-    }
-
-    /// Out-neighbors (global ids) of owned local vertex `local`.
-    pub fn out_neighbors(&self, local: u32) -> &[VertexId] {
-        let lo = self.out_offsets[local as usize] as usize;
-        let hi = self.out_offsets[local as usize + 1] as usize;
-        &self.out_adj[lo..hi]
-    }
-
-    /// In-neighbors (global ids) of owned local vertex `local`.
-    pub fn in_neighbors(&self, local: u32) -> &[VertexId] {
-        let lo = self.in_offsets[local as usize] as usize;
-        let hi = self.in_offsets[local as usize + 1] as usize;
-        &self.in_adj[lo..hi]
-    }
-
-    /// Out-edges owned by this shard.
-    pub fn num_out_edges(&self) -> usize {
-        self.out_adj.len()
-    }
-
-    /// In-edges terminating at this shard's owned vertices.
-    pub fn num_in_edges(&self) -> usize {
-        self.in_adj.len()
-    }
-
-    /// Local out-CSR offsets (for byte-identity checks and device upload).
-    pub fn out_offsets(&self) -> &[u64] {
-        &self.out_offsets
-    }
-
-    /// Local out-CSR adjacency, global targets.
-    pub fn out_adjacency(&self) -> &[VertexId] {
-        &self.out_adj
-    }
-
-    /// Bytes of CSR storage this shard holds (both directions).
-    pub fn storage_bytes(&self) -> u64 {
-        (self.out_offsets.len() + self.in_offsets.len()) as u64 * 8
-            + (self.out_adj.len() + self.in_adj.len()) as u64 * 4
-    }
-}
-
-/// A complete 1D partition: the owner map plus every shard's subgraph.
-#[derive(Clone, Debug)]
-pub struct Partition {
-    /// Owner map shared by all shards.
-    pub owner: VertexOwner,
-    /// Per-shard subgraphs, indexed by shard.
-    pub shards: Vec<ShardGraph>,
-}
-
-impl Partition {
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-}
-
-/// Splits a CSR graph into per-shard subgraphs under a 1D owner-per-vertex
-/// layout.
-#[derive(Clone, Copy, Debug)]
-pub struct Partitioner {
-    /// Number of shards to produce.
-    pub shards: usize,
-    /// Vertex ownership layout.
-    pub layout: OwnershipLayout,
-}
-
-impl Partitioner {
-    /// A partitioner for `shards` shards under `layout`.
-    pub fn new(shards: usize, layout: OwnershipLayout) -> Self {
-        assert!(shards > 0, "shards must be positive");
-        Partitioner { shards, layout }
-    }
-
-    /// Partitions `graph` (and its reverse) into per-shard subgraphs. Every
-    /// directed edge `u → w` lands in exactly one shard's out-CSR (the owner
-    /// of `u`) and exactly one shard's in-CSR (the owner of `w`).
-    pub fn partition(&self, graph: &Csr, reverse: &Csr) -> Partition {
-        assert_eq!(graph.num_vertices(), reverse.num_vertices());
-        assert_eq!(graph.num_edges(), reverse.num_edges());
-        let owner = VertexOwner::new(self.layout, graph.num_vertices(), self.shards);
-        let shards = (0..self.shards)
-            .map(|s| {
-                let owned = owner.num_owned(s);
-                let mut out_offsets = Vec::with_capacity(owned + 1);
-                let mut in_offsets = Vec::with_capacity(owned + 1);
-                let mut out_adj = Vec::new();
-                let mut in_adj = Vec::new();
-                out_offsets.push(0);
-                in_offsets.push(0);
-                for local in 0..owned {
-                    let g = owner.to_global(s, local as u32);
-                    out_adj.extend_from_slice(graph.neighbors(g));
-                    in_adj.extend_from_slice(reverse.neighbors(g));
-                    out_offsets.push(out_adj.len() as u64);
-                    in_offsets.push(in_adj.len() as u64);
-                }
-                ShardGraph { shard: s, out_offsets, out_adj, in_offsets, in_adj }
-            })
-            .collect();
-        Partition { owner, shards }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{rmat, uniform_random, RmatParams};
     use ibfs_util::prop::Prop;
 
     #[test]
@@ -401,125 +139,5 @@ mod tests {
     #[should_panic(expected = "parts must be positive")]
     fn even_ranges_rejects_zero_parts() {
         even_ranges(10, 0);
-    }
-
-    #[test]
-    fn owner_map_round_trips_both_layouts() {
-        for layout in OwnershipLayout::all() {
-            for (n, shards) in [(0usize, 3usize), (1, 1), (5, 8), (97, 4), (256, 7)] {
-                let owner = VertexOwner::new(layout, n, shards);
-                let mut owned_seen = vec![0usize; shards];
-                for v in 0..n as VertexId {
-                    let s = owner.owner_of(v);
-                    let l = owner.to_local(v);
-                    assert_eq!(owner.to_global(s, l), v, "{layout:?} n={n} shards={shards}");
-                    owned_seen[s] += 1;
-                }
-                for s in 0..shards {
-                    assert_eq!(owned_seen[s], owner.num_owned(s));
-                }
-                assert_eq!((0..shards).map(|s| owner.num_owned(s)).sum::<usize>(), n);
-            }
-        }
-    }
-
-    #[test]
-    fn contiguous_layout_matches_even_ranges() {
-        let owner = VertexOwner::new(OwnershipLayout::Contiguous, 101, 4);
-        for (s, r) in even_ranges(101, 4).into_iter().enumerate() {
-            assert_eq!(owner.num_owned(s), r.len());
-            for v in r {
-                assert_eq!(owner.owner_of(v as VertexId), s);
-            }
-        }
-    }
-
-    #[test]
-    fn every_edge_lands_in_exactly_one_shard() {
-        Prop::new("partition_covers_every_edge_exactly_once").cases(24).run(|rng| {
-            let scale = rng.gen_range(4..8u64) as u32;
-            let g = rmat(scale, 8, RmatParams::graph500(), rng.gen_range(0..1000u64));
-            let r = g.reverse();
-            let shards = rng.gen_range(1..9u64) as usize;
-            let layout = OwnershipLayout::all()[rng.gen_range(0..2u64) as usize];
-            let p = Partitioner::new(shards, layout).partition(&g, &r);
-
-            // Collect every out-edge from every shard, translated to global.
-            let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-            for sg in &p.shards {
-                assert_eq!(sg.num_owned(), p.owner.num_owned(sg.shard));
-                for local in 0..sg.num_owned() as u32 {
-                    let u = p.owner.to_global(sg.shard, local);
-                    assert_eq!(sg.out_degree(local) as usize, g.out_degree(u) as usize);
-                    for &w in sg.out_neighbors(local) {
-                        edges.push((u, w));
-                    }
-                }
-            }
-            let mut want: Vec<(VertexId, VertexId)> = g.edges().collect();
-            edges.sort_unstable();
-            want.sort_unstable();
-            assert_eq!(edges, want, "shards={shards} layout={layout:?}");
-
-            // And in-edges partition the reverse graph the same way.
-            let total_in: usize = p.shards.iter().map(|sg| sg.num_in_edges()).sum();
-            assert_eq!(total_in, g.num_edges());
-        });
-    }
-
-    #[test]
-    fn local_global_translation_round_trips_through_partition() {
-        Prop::new("partition_translation_round_trips").cases(24).run(|rng| {
-            let n = rng.gen_range(1..400u64) as usize;
-            let g = uniform_random(n.max(2), 4, rng.gen_range(0..1000u64));
-            let r = g.reverse();
-            let shards = rng.gen_range(1..9u64) as usize;
-            let layout = OwnershipLayout::all()[rng.gen_range(0..2u64) as usize];
-            let p = Partitioner::new(shards, layout).partition(&g, &r);
-            for v in 0..g.num_vertices() as VertexId {
-                let s = p.owner.owner_of(v);
-                let l = p.owner.to_local(v);
-                assert!(s < shards);
-                assert!((l as usize) < p.shards[s].num_owned());
-                assert_eq!(p.owner.to_global(s, l), v);
-            }
-        });
-    }
-
-    #[test]
-    fn single_shard_is_byte_identical_to_unpartitioned_csr() {
-        for layout in OwnershipLayout::all() {
-            let g = rmat(8, 8, RmatParams::graph500(), 77);
-            let r = g.reverse();
-            let p = Partitioner::new(1, layout).partition(&g, &r);
-            assert_eq!(p.num_shards(), 1);
-            let sg = &p.shards[0];
-            // With one shard local ids equal global ids under both layouts,
-            // so the shard's out-CSR is the input CSR, byte for byte.
-            assert_eq!(sg.out_offsets(), g.offsets());
-            assert_eq!(sg.out_adjacency(), g.adjacency());
-            assert_eq!(sg.num_owned(), g.num_vertices());
-        }
-    }
-
-    #[test]
-    fn shard_storage_accounts_both_directions() {
-        let g = rmat(6, 4, RmatParams::graph500(), 5);
-        let r = g.reverse();
-        let p = Partitioner::new(2, OwnershipLayout::Contiguous).partition(&g, &r);
-        for sg in &p.shards {
-            assert_eq!(
-                sg.storage_bytes(),
-                (sg.num_owned() as u64 + 1) * 16
-                    + sg.num_out_edges() as u64 * 4
-                    + sg.num_in_edges() as u64 * 4
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "shards must be positive")]
-    fn partitioner_rejects_zero_shards() {
-        Partitioner::new(0, OwnershipLayout::Contiguous);
     }
 }

@@ -23,8 +23,8 @@
 //!   from its submission to the device worker and per-level traversal that
 //!   answered it.
 //! * [`profile`] — the engine profiler: an [`EngineProfiler`] collecting
-//!   per-lane, per-level [`PhaseRecord`]s (expand, sweep, barrier wait,
-//!   steal, async drain, repair, sharded exchange) into a versioned
+//!   per-lane, per-level [`PhaseRecord`]s (expand, sweep, identification,
+//!   barrier wait, cleanup, serve batches) into a versioned
 //!   [`ProfileReport`] that exports to the Chrome trace-event timeline
 //!   format.
 //!

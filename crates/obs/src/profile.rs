@@ -1,11 +1,10 @@
 //! The engine profiler: per-lane, per-level phase records with a versioned
 //! JSON report and a Chrome trace-event exporter.
 //!
-//! The CPU engines and the sharded exchange report only end-of-run
-//! aggregates; when a level is slow there is no way to see *where* it went
-//! (expand? barrier? steal storm? wire time?). This module adds the lens
-//! the distributed-BFS literature attributes everything to: a per-phase
-//! computation/communication breakdown.
+//! The CPU engine reports only end-of-run aggregates; when a level is slow
+//! there is no way to see *where* it went (expand? identification?
+//! barrier?). This module adds that lens: a per-lane, per-phase breakdown
+//! of every level.
 //!
 //! Overhead budget: recording happens once per `(track, lane, level,
 //! phase)` — a handful of `Instant` reads and one short mutex push per
@@ -15,19 +14,18 @@
 //! `cpu-bench` under 5%.
 //!
 //! Phase taxonomy (see [`ProfPhase`]): engine compute phases (top-down
-//! expand, bottom-up sweep, dirty-chunk repair, identification, status
-//! sweeps, cleanup), synchronization ([`ProfPhase::BarrierWait`] records
-//! are *synthesized* — for every lane, phase wall time minus that lane's
-//! body time), work stealing (chunk claims from `ChunkCursor`/`ClaimTally`
-//! as counts on the traversal records), the sharded exchange (encode / exchange / apply, with bytes and messages),
-//! and serve-batch dispatch.
+//! expand, bottom-up sweep, identification, status sweeps, queue build,
+//! cleanup), synchronization ([`ProfPhase::BarrierWait`] records are
+//! *synthesized* — for every lane, phase wall time minus that lane's body
+//! time), work stealing (chunk claims from `ChunkCursor`/`ClaimTally` as
+//! counts on the traversal records), and serve-batch dispatch.
 //!
 //! The [`ProfileReport`] JSON document is versioned
 //! ([`PROFILE_SCHEMA_VERSION`], future versions rejected on decode, like
 //! the trace and snapshot schemas) and exports to the Chrome trace-event
 //! array format (`chrome://tracing`, Perfetto): one complete (`"ph":"X"`)
-//! event per record, `pid` = track (engine run or shard group), `tid` =
-//! lane (worker lane or shard).
+//! event per record, `pid` = track (engine run or serve worker pool),
+//! `tid` = lane (worker lane or serve device).
 
 use crate::registry::{labeled, Registry};
 use ibfs_util::json::{field, FromJson, Json, JsonError, ToJson};
@@ -67,16 +65,8 @@ pub enum ProfPhase {
     QueueBuild,
     /// End-of-group arena cleanup.
     Cleanup,
-    /// Sharded exchange: frontier/candidate payload encode. Counters:
-    /// bytes, messages.
-    CommEncode,
-    /// Sharded exchange: simulated wire time. Counters: bytes, messages.
-    CommExchange,
-    /// Sharded exchange: applying received payloads. Counters: bytes,
-    /// messages.
-    CommApply,
-    /// One serve batch from dispatch to depths. Counters: requests,
-    /// distinct sources.
+    /// One serve batch from dispatch to depths. Counters: requests
+    /// answered (distinct sources traversed), edges traversed.
     ServeBatch,
 }
 
@@ -89,15 +79,12 @@ json_enum!(ProfPhase {
     Identify,
     QueueBuild,
     Cleanup,
-    CommEncode,
-    CommExchange,
-    CommApply,
     ServeBatch,
 });
 
 impl ProfPhase {
     /// Every phase, for eager metric registration and exhaustive tests.
-    pub const ALL: [ProfPhase; 12] = [
+    pub const ALL: [ProfPhase; 9] = [
         ProfPhase::TopDownExpand,
         ProfPhase::BottomUpSweep,
         ProfPhase::BarrierWait,
@@ -106,9 +93,6 @@ impl ProfPhase {
         ProfPhase::Identify,
         ProfPhase::QueueBuild,
         ProfPhase::Cleanup,
-        ProfPhase::CommEncode,
-        ProfPhase::CommExchange,
-        ProfPhase::CommApply,
         ProfPhase::ServeBatch,
     ];
 
@@ -123,9 +107,6 @@ impl ProfPhase {
             ProfPhase::Identify => "identify",
             ProfPhase::QueueBuild => "queue_build",
             ProfPhase::Cleanup => "cleanup",
-            ProfPhase::CommEncode => "comm_encode",
-            ProfPhase::CommExchange => "comm_exchange",
-            ProfPhase::CommApply => "comm_apply",
             ProfPhase::ServeBatch => "serve_batch",
         }
     }
@@ -134,7 +115,6 @@ impl ProfPhase {
     pub fn category(self) -> &'static str {
         match self {
             ProfPhase::BarrierWait => "sync",
-            ProfPhase::CommEncode | ProfPhase::CommExchange | ProfPhase::CommApply => "comm",
             ProfPhase::ServeBatch => "serve",
             _ => "engine",
         }
@@ -144,10 +124,10 @@ impl ProfPhase {
 /// One timed phase on one lane at one level.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PhaseRecord {
-    /// Timeline track (Chrome `pid`): one per engine run / shard group,
-    /// allocated by [`EngineProfiler::open_track`].
+    /// Timeline track (Chrome `pid`): one per engine run or serve worker
+    /// pool, allocated by [`EngineProfiler::open_track`].
     pub track: u64,
-    /// Worker lane or shard index (Chrome `tid`).
+    /// Worker lane or serve device index (Chrome `tid`).
     pub lane: u64,
     /// BFS level (batch sequence number for serve records).
     pub level: u64,
@@ -234,8 +214,8 @@ impl EngineProfiler {
         self.epoch.elapsed().as_secs_f64()
     }
 
-    /// Allocates a timeline track (Chrome `pid`): one per engine run,
-    /// shard group, or serve worker pool.
+    /// Allocates a timeline track (Chrome `pid`): one per engine run or
+    /// serve worker pool.
     pub fn open_track(&self) -> u64 {
         self.next_track.fetch_add(1, Ordering::Relaxed)
     }
@@ -305,8 +285,8 @@ impl EngineProfiler {
         records.extend(waits);
     }
 
-    /// Records a fully-formed phase (used by the comm/serve hooks, where
-    /// the caller measures its own interval).
+    /// Records a fully-formed phase (used by the serve hook, where the
+    /// caller measures its own interval).
     pub fn record(
         &self,
         track: u64,
@@ -571,7 +551,7 @@ mod tests {
         prof.lane(start, track, 0, 1, ProfPhase::TopDownExpand, 3, 5);
         prof.lane(start, track, 1, 1, ProfPhase::TopDownExpand, 2, 5);
         prof.end_phase(start, track, 1, ProfPhase::TopDownExpand);
-        prof.record(track, 0, 1, ProfPhase::CommExchange, prof.now_s(), 0.25, 4096, 3);
+        prof.record(track, 0, 1, ProfPhase::ServeBatch, prof.now_s(), 0.25, 5, 3);
         prof.report("test")
     }
 
@@ -579,7 +559,7 @@ mod tests {
     fn lanes_record_and_barrier_is_synthesized() {
         let r = sample_report();
         assert_eq!(r.schema_version, PROFILE_SCHEMA_VERSION);
-        // 2 body records + 2 synthesized barrier records + 1 comm record.
+        // 2 body records + 2 synthesized barrier records + 1 serve record.
         assert_eq!(r.records.len(), 5);
         let barriers: Vec<_> =
             r.records.iter().filter(|x| x.phase == ProfPhase::BarrierWait).collect();
@@ -640,12 +620,15 @@ mod tests {
             assert!(e.get("pid").is_some() && e.get("tid").is_some());
             assert!(e.get("args").unwrap().get("level").is_some());
         }
-        // The comm record keeps its byte/message counters.
-        let comm = events
+        // The serve record keeps its request and edge counters.
+        let serve = events
             .iter()
-            .find(|e| e.get("name").unwrap().as_str() == Some("comm_exchange"))
+            .find(|e| e.get("name").unwrap().as_str() == Some("serve_batch"))
             .unwrap();
-        assert_eq!(comm.get("args").unwrap().get("counter_a").unwrap().as_u64(), Some(4096));
+        assert_eq!(serve.get("cat").unwrap().as_str(), Some("serve"));
+        let args = serve.get("args").unwrap();
+        assert_eq!(args.get("counter_a").unwrap().as_u64(), Some(5));
+        assert_eq!(args.get("counter_b").unwrap().as_u64(), Some(3));
     }
 
     #[test]

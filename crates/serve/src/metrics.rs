@@ -11,8 +11,8 @@
 //! per-run deltas in the [`ServeReport`].
 //!
 //! Request-scoped spans ride along: when [`ServeTelemetry::trace`] is set,
-//! every lifecycle stage pushes a [`SpanEvent`](ibfs_obs::span::SpanEvent)
-//! into the shared [`TraceLog`], merged with the batch-stamped per-level
+//! every lifecycle stage pushes a [`SpanEvent`] into the shared
+//! [`TraceLog`], merged with the batch-stamped per-level
 //! [`TraversalEvent`](ibfs::trace::TraversalEvent)s the workers emit.
 
 use crate::qos::{Class, NUM_CLASSES};
@@ -46,7 +46,7 @@ pub struct ServeTelemetry {
     pub trace: Option<TraceLog>,
     /// When set, every dispatched batch records a
     /// [`ProfPhase::ServeBatch`] phase into it (track = device, level =
-    /// batch id), joining the engine/comm records on the shared timeline.
+    /// batch id), joining the engine records on the shared timeline.
     pub profiler: Option<Arc<EngineProfiler>>,
 }
 

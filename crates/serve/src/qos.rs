@@ -4,7 +4,7 @@
 //! unique and every tenant as equal; this module adds the four mechanisms
 //! a shared front door needs, each usable (and tested) on its own:
 //!
-//! * [`FairQueue`] — the admission queue. It replaces the single FIFO
+//! * [`fair_bounded`] — the admission queue. It replaces the single FIFO
 //!   channel with one bounded FIFO lane **per class** drained by weighted
 //!   fair queuing: the batcher pops from the non-empty class with the
 //!   smallest `served/weight` virtual time, so a bulk backlog cannot delay
@@ -316,7 +316,17 @@ pub fn fair_bounded<T>(
 impl<T> FairSender<T> {
     /// Blocks until `class`'s lane has room, then enqueues. Fails only
     /// when every receiver is gone.
-    pub fn send(&self, class: Class, value: T) -> Result<(), SendError<T>> {
+    ///
+    /// `on_accept` runs under the queue lock once the value is accepted,
+    /// before any receiver can see it; a failed send never runs it. The
+    /// server logs admission there, so no request is batched before it is
+    /// admitted.
+    pub fn send(
+        &self,
+        class: Class,
+        value: T,
+        on_accept: impl FnOnce(),
+    ) -> Result<(), SendError<T>> {
         let lane = class.idx();
         let mut st = self.chan.state.lock().unwrap();
         loop {
@@ -324,12 +334,7 @@ impl<T> FairSender<T> {
                 return Err(SendError(value));
             }
             if st.lanes[lane].len() < st.cap {
-                if st.lanes[lane].is_empty() {
-                    st.sync_idle_lane(lane, &self.chan.weights);
-                }
-                st.lanes[lane].push_back(value);
-                drop(st);
-                self.chan.not_empty.notify_one();
+                self.accept(&mut st, lane, value, on_accept);
                 return Ok(());
             }
             st = self.chan.not_full.wait(st).unwrap();
@@ -338,7 +343,13 @@ impl<T> FairSender<T> {
 
     /// Enqueues into `class`'s lane if it has room right now. A full lane
     /// is reported per class: other classes' backlogs never cause it.
-    pub fn try_send(&self, class: Class, value: T) -> Result<(), TrySendError<T>> {
+    /// `on_accept` runs as in [`FairSender::send`].
+    pub fn try_send(
+        &self,
+        class: Class,
+        value: T,
+        on_accept: impl FnOnce(),
+    ) -> Result<(), TrySendError<T>> {
         let lane = class.idx();
         let mut st = self.chan.state.lock().unwrap();
         if st.receivers == 0 {
@@ -347,13 +358,21 @@ impl<T> FairSender<T> {
         if st.lanes[lane].len() >= st.cap {
             return Err(TrySendError::Full(value));
         }
+        self.accept(&mut st, lane, value, on_accept);
+        Ok(())
+    }
+
+    /// Enqueues into `lane`, which has room, under the caller's lock. A
+    /// receiver is woken first: it cannot pop before the lock drops, and
+    /// the wake-up, which may hand it this CPU, then comes before
+    /// `on_accept` instead of between it and the sender's return.
+    fn accept(&self, st: &mut FairState<T>, lane: usize, value: T, on_accept: impl FnOnce()) {
         if st.lanes[lane].is_empty() {
             st.sync_idle_lane(lane, &self.chan.weights);
         }
-        st.lanes[lane].push_back(value);
-        drop(st);
         self.chan.not_empty.notify_one();
-        Ok(())
+        on_accept();
+        st.lanes[lane].push_back(value);
     }
 }
 
@@ -589,10 +608,14 @@ impl<W> DedupTable<W> {
     /// Atomically: if `(epoch, source)` has a leader in flight, park `w`
     /// as a waiter; otherwise register the key and hand `w` back as the
     /// leader.
-    pub fn attach(&self, epoch: u64, source: VertexId, w: W) -> Attach<W> {
+    ///
+    /// `on_join` runs under the table lock only when `w` is parked, before
+    /// [`DedupTable::complete`] can hand it out.
+    pub fn attach(&self, epoch: u64, source: VertexId, w: W, on_join: impl FnOnce()) -> Attach<W> {
         let mut inflight = self.inflight.lock().unwrap();
         match inflight.get_mut(&(epoch, source)) {
             Some(waiters) => {
+                on_join();
                 waiters.push(w);
                 Attach::Joined
             }
@@ -606,11 +629,19 @@ impl<W> DedupTable<W> {
     /// Parks `w` as a waiter only if a leader is already in flight;
     /// otherwise hands `w` back without registering the key (the caller
     /// proceeds leaderless — used by non-blocking admission, whose bounce
-    /// path must not leave an orphaned key behind).
-    pub fn join_if_inflight(&self, epoch: u64, source: VertexId, w: W) -> Option<W> {
+    /// path must not leave an orphaned key behind). `on_join` runs as in
+    /// [`DedupTable::attach`].
+    pub fn join_if_inflight(
+        &self,
+        epoch: u64,
+        source: VertexId,
+        w: W,
+        on_join: impl FnOnce(),
+    ) -> Option<W> {
         let mut inflight = self.inflight.lock().unwrap();
         match inflight.get_mut(&(epoch, source)) {
             Some(waiters) => {
+                on_join();
                 waiters.push(w);
                 None
             }
@@ -797,6 +828,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::time::Duration;
 
     #[test]
@@ -822,7 +854,7 @@ mod tests {
     fn single_class_fair_queue_is_fifo() {
         let (tx, rx) = fair_bounded(8, [4, 1]);
         for i in 0..5 {
-            tx.send(Class::Interactive, i).unwrap();
+            tx.send(Class::Interactive, i, || {}).unwrap();
         }
         for i in 0..5 {
             assert_eq!(rx.recv(), Ok(i));
@@ -834,8 +866,8 @@ mod tests {
         // Both lanes stay backlogged; 3:1 drain must hold within one unit.
         let (tx, rx) = fair_bounded(32, [3, 1]);
         for i in 0..24 {
-            tx.send(Class::Interactive, (0usize, i)).unwrap();
-            tx.send(Class::Bulk, (1usize, i)).unwrap();
+            tx.send(Class::Interactive, (0usize, i), || {}).unwrap();
+            tx.send(Class::Bulk, (1usize, i), || {}).unwrap();
         }
         let mut counts = [0usize; NUM_CLASSES];
         for _ in 0..16 {
@@ -853,7 +885,7 @@ mod tests {
         // bulk burst win every pick while it "catches up" on virtual time.
         let (tx, rx) = fair_bounded(64, [3, 1]);
         for i in 0..40 {
-            tx.send(Class::Interactive, (0usize, i)).unwrap();
+            tx.send(Class::Interactive, (0usize, i), || {}).unwrap();
         }
         // Serve a long stretch with bulk idle (the lane stays non-empty so
         // the busy period never ends).
@@ -862,8 +894,8 @@ mod tests {
         }
         // Bulk wakes up into a backlog; both lanes now stay backlogged.
         for i in 0..24 {
-            tx.send(Class::Interactive, (0usize, 100 + i)).unwrap();
-            tx.send(Class::Bulk, (1usize, i)).unwrap();
+            tx.send(Class::Interactive, (0usize, 100 + i), || {}).unwrap();
+            tx.send(Class::Bulk, (1usize, i), || {}).unwrap();
         }
         let mut counts = [0usize; NUM_CLASSES];
         for _ in 0..16 {
@@ -878,7 +910,7 @@ mod tests {
     fn clock_resets_between_busy_periods() {
         let (tx, rx) = fair_bounded(8, [4, 1]);
         for i in 0..5 {
-            tx.send(Class::Interactive, (0usize, i)).unwrap();
+            tx.send(Class::Interactive, (0usize, i), || {}).unwrap();
         }
         for _ in 0..5 {
             rx.recv().unwrap();
@@ -886,9 +918,9 @@ mod tests {
         // Queue fully drained: the next busy period starts from zero, so a
         // lone bulk item is served immediately, then interactive resumes
         // FIFO with no debt from the previous period.
-        tx.send(Class::Bulk, (1usize, 0)).unwrap();
+        tx.send(Class::Bulk, (1usize, 0), || {}).unwrap();
         assert_eq!(rx.recv().unwrap().0, 1);
-        tx.send(Class::Interactive, (0usize, 9)).unwrap();
+        tx.send(Class::Interactive, (0usize, 9), || {}).unwrap();
         assert_eq!(rx.recv().unwrap(), (0, 9));
     }
 
@@ -898,8 +930,8 @@ mod tests {
         // adversarial values times a long-running served counter.
         let (tx, rx) = fair_bounded(8, [u64::MAX, u64::MAX - 1]);
         for i in 0..4 {
-            tx.send(Class::Interactive, (0usize, i)).unwrap();
-            tx.send(Class::Bulk, (1usize, i)).unwrap();
+            tx.send(Class::Interactive, (0usize, i), || {}).unwrap();
+            tx.send(Class::Bulk, (1usize, i), || {}).unwrap();
         }
         // Would overflow u64 cross-multiplication (panic in debug) once
         // served counters pass 1.
@@ -911,8 +943,8 @@ mod tests {
     #[test]
     fn empty_lane_cedes_its_share() {
         let (tx, rx) = fair_bounded(8, [4, 1]);
-        tx.send(Class::Bulk, 1u32).unwrap();
-        tx.send(Class::Bulk, 2).unwrap();
+        tx.send(Class::Bulk, 1u32, || {}).unwrap();
+        tx.send(Class::Bulk, 2, || {}).unwrap();
         // No interactive traffic: bulk drains back to back.
         assert_eq!(rx.recv(), Ok(1));
         assert_eq!(rx.recv(), Ok(2));
@@ -921,23 +953,23 @@ mod tests {
     #[test]
     fn lane_capacity_is_per_class() {
         let (tx, _rx) = fair_bounded(1, [4, 1]);
-        tx.try_send(Class::Bulk, 1u32).unwrap();
+        tx.try_send(Class::Bulk, 1u32, || {}).unwrap();
         // The bulk lane is full; interactive still has room.
-        assert!(matches!(tx.try_send(Class::Bulk, 2), Err(TrySendError::Full(2))));
-        tx.try_send(Class::Interactive, 3).unwrap();
+        assert!(matches!(tx.try_send(Class::Bulk, 2, || {}), Err(TrySendError::Full(2))));
+        tx.try_send(Class::Interactive, 3, || {}).unwrap();
     }
 
     #[test]
     fn fair_queue_disconnects_like_a_channel() {
         let (tx, rx) = fair_bounded(4, [4, 1]);
-        tx.send(Class::Interactive, 9u32).unwrap();
+        tx.send(Class::Interactive, 9u32, || {}).unwrap();
         drop(tx);
         assert_eq!(rx.recv(), Ok(9));
         assert_eq!(rx.recv(), Err(crate::channel::RecvError));
 
         let (tx, rx) = fair_bounded(4, [4, 1]);
         drop(rx);
-        assert!(matches!(tx.send(Class::Bulk, 1u32), Err(SendError(1))));
+        assert!(matches!(tx.send(Class::Bulk, 1u32, || {}), Err(SendError(1))));
         let deadline = Instant::now() + Duration::from_millis(5);
         let (tx, rx) = fair_bounded::<u32>(4, [4, 1]);
         assert_eq!(rx.recv_deadline(deadline), Err(RecvTimeoutError::Timeout));
@@ -975,15 +1007,15 @@ mod tests {
     #[test]
     fn dedup_attach_leads_then_joins() {
         let t = DedupTable::new();
-        let Attach::Leader(w) = t.attach(0, 5, "leader") else {
+        let Attach::Leader(w) = t.attach(0, 5, "leader", || {}) else {
             panic!("first attach must lead");
         };
         assert_eq!(w, "leader");
         assert!(t.is_inflight(0, 5));
-        assert!(matches!(t.attach(0, 5, "w1"), Attach::Joined));
-        assert!(matches!(t.attach(0, 5, "w2"), Attach::Joined));
+        assert!(matches!(t.attach(0, 5, "w1", || {}), Attach::Joined));
+        assert!(matches!(t.attach(0, 5, "w2", || {}), Attach::Joined));
         // A different epoch is a different key.
-        assert!(matches!(t.attach(1, 5, "other"), Attach::Leader("other")));
+        assert!(matches!(t.attach(1, 5, "other", || {}), Attach::Leader("other")));
         assert_eq!(t.complete(0, 5), vec!["w1", "w2"]);
         assert!(!t.is_inflight(0, 5));
         assert!(t.complete(0, 5).is_empty(), "completion unregisters the key");
@@ -994,11 +1026,72 @@ mod tests {
     #[test]
     fn join_if_inflight_never_creates_keys() {
         let t = DedupTable::new();
-        assert_eq!(t.join_if_inflight(0, 3, "x"), Some("x"));
+        assert_eq!(t.join_if_inflight(0, 3, "x", || {}), Some("x"));
         assert!(!t.is_inflight(0, 3));
-        let Attach::Leader(_) = t.attach(0, 3, "leader") else { panic!() };
-        assert_eq!(t.join_if_inflight(0, 3, "y"), None);
+        let Attach::Leader(_) = t.attach(0, 3, "leader", || {}) else { panic!() };
+        assert_eq!(t.join_if_inflight(0, 3, "y", || {}), None);
         assert_eq!(t.complete(0, 3), vec!["y"]);
+    }
+
+    // The server logs `Admitted` in the accept hooks below, so a request
+    // must never be observable (by the batcher, or by a leader's
+    // completion) before its hook has run, and a bounce must never run it.
+    // Each hook asserts that it holds the structure's lock: no other
+    // thread can see the value until the hook has returned.
+
+    #[test]
+    fn fair_queue_runs_the_accept_hook_before_a_receiver_sees_the_value() {
+        const N: usize = 256;
+        let hooked: Arc<Vec<AtomicBool>> =
+            Arc::new((0..N).map(|_| AtomicBool::new(false)).collect());
+        let (tx, rx) = fair_bounded::<usize>(N, [4, 1]);
+        let seen = hooked.clone();
+        let receiver = std::thread::spawn(move || {
+            (0..N).filter(|_| !seen[rx.recv().unwrap()].load(Ordering::Relaxed)).count()
+        });
+        for i in 0..N {
+            let hook = || {
+                assert!(tx.chan.state.try_lock().is_err(), "hook ran outside the queue lock");
+                hooked[i].store(true, Ordering::Relaxed);
+            };
+            if i % 2 == 0 {
+                tx.send(Class::Interactive, i, hook).unwrap();
+            } else {
+                tx.try_send(Class::Bulk, i, hook).unwrap();
+            }
+        }
+        assert_eq!(receiver.join().unwrap(), 0, "values seen before their hook ran");
+    }
+
+    #[test]
+    fn accept_hooks_run_under_the_lock_and_never_on_bounces_or_leaders() {
+        let (tx, rx) = fair_bounded(1, [4, 1]);
+        let queued = std::cell::Cell::new(0);
+        let hook = || {
+            assert!(tx.chan.state.try_lock().is_err(), "hook ran outside the queue lock");
+            queued.set(queued.get() + 1);
+        };
+        tx.try_send(Class::Bulk, 1u32, hook).unwrap();
+        assert!(matches!(tx.try_send(Class::Bulk, 2, hook), Err(TrySendError::Full(2))));
+        drop(rx);
+        let gone = tx.try_send(Class::Interactive, 3, hook);
+        assert!(matches!(gone, Err(TrySendError::Disconnected(3))));
+        assert!(matches!(tx.send(Class::Interactive, 4, hook), Err(SendError(4))));
+        assert_eq!(queued.get(), 1, "a bounced send ran its hook");
+
+        let t = DedupTable::new();
+        let parked = std::cell::RefCell::new(Vec::new());
+        let park = |w| {
+            assert!(t.inflight.try_lock().is_err(), "hook ran outside the table lock");
+            parked.borrow_mut().push(w);
+        };
+        assert_eq!(t.join_if_inflight(0, 5, "rider", || park("rider")), Some("rider"));
+        assert!(matches!(t.attach(0, 5, "leader", || park("leader")), Attach::Leader(_)));
+        assert!(matches!(t.attach(0, 5, "w1", || park("w1")), Attach::Joined));
+        assert_eq!(t.join_if_inflight(0, 5, "w2", || park("w2")), None);
+        // Completion hands out exactly the waiters whose hook ran.
+        assert_eq!(*parked.borrow(), ["w1", "w2"]);
+        assert_eq!(t.complete(0, 5), *parked.borrow());
     }
 
     #[test]

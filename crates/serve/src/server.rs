@@ -402,6 +402,12 @@ impl ServeHandle<'_> {
             }
         }
 
+        // Admission is logged by the dedup table or the fair queue, under
+        // its lock, just before the request becomes visible to a leader's
+        // completion or to the batcher: `Admitted` always precedes the
+        // request's later spans, and a bounce is never counted accepted.
+        let admit = || self.count_accepted(id, source, class);
+
         // In-flight dedup. Only the blocking path may *create* a key
         // (lead): its enqueue cannot bounce on a full lane, so the key is
         // guaranteed a ride through the pipeline. `try_submit` joins an
@@ -409,7 +415,7 @@ impl ServeHandle<'_> {
         if let Some(dedup) = &self.qos.dedup {
             req.joined = true;
             let back = if block {
-                match dedup.attach(self.qos.epoch, source, req) {
+                match dedup.attach(self.qos.epoch, source, req, admit) {
                     Attach::Leader(mut r) => {
                         r.leader = true;
                         Some(r)
@@ -419,7 +425,7 @@ impl ServeHandle<'_> {
             } else {
                 // A keyless rider: no leader was in flight and the try
                 // path must not create a key, so `leader` stays false.
-                dedup.join_if_inflight(self.qos.epoch, source, req)
+                dedup.join_if_inflight(self.qos.epoch, source, req, admit)
             };
             match back {
                 Some(mut r) => {
@@ -428,25 +434,21 @@ impl ServeHandle<'_> {
                 }
                 None => {
                     self.collector.dedup_joined.inc();
-                    self.count_accepted(id, source, class);
                     return Ok(ticket);
                 }
             }
         }
 
         let res = if block {
-            self.tx.send(class, req).map_err(|e| (ServeError::Shutdown, e.0))
+            self.tx.send(class, req, admit).map_err(|e| (ServeError::Shutdown, e.0))
         } else {
-            self.tx.try_send(class, req).map_err(|e| match e {
+            self.tx.try_send(class, req, admit).map_err(|e| match e {
                 TrySendError::Full(r) => (ServeError::Overloaded, r),
                 TrySendError::Disconnected(r) => (ServeError::Shutdown, r),
             })
         };
         match res {
-            Ok(()) => {
-                self.count_accepted(id, source, class);
-                Ok(ticket)
-            }
+            Ok(()) => Ok(ticket),
             Err((err, bounced)) => {
                 let stage = match err {
                     ServeError::Overloaded => {

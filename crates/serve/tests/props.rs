@@ -155,8 +155,8 @@ fn fair_queue_split_tracks_weights_and_stays_fifo() {
         let per_lane = 64usize;
         let (tx, rx) = fair_bounded::<(usize, usize)>(per_lane, weights);
         for seq in 0..per_lane {
-            tx.try_send(Class::Interactive, (0, seq)).unwrap();
-            tx.try_send(Class::Bulk, (1, seq)).unwrap();
+            tx.try_send(Class::Interactive, (0, seq), || {}).unwrap();
+            tx.try_send(Class::Bulk, (1, seq), || {}).unwrap();
         }
         // Both lanes stay backlogged for all `m` pops, so the split must
         // track the weights (nearest-integer rounding slack only).
@@ -194,7 +194,7 @@ fn idle_lane_rejoins_at_its_weighted_share() {
         let weights = [rng.gen_range(1..=8u64), rng.gen_range(1..=8u64)];
         let (tx, rx) = fair_bounded::<(usize, usize)>(128, weights);
         for seq in 0..96 {
-            tx.try_send(Class::Interactive, (0, seq)).unwrap();
+            tx.try_send(Class::Interactive, (0, seq), || {}).unwrap();
         }
         let warm = rng.gen_range(32..=64usize);
         for _ in 0..warm {
@@ -202,8 +202,8 @@ fn idle_lane_rejoins_at_its_weighted_share() {
         }
         // Bulk wakes up; both lanes now stay backlogged for all `m` pops.
         for seq in 0..64 {
-            tx.try_send(Class::Bulk, (1, seq)).unwrap();
-            tx.try_send(Class::Interactive, (0, 96 + seq)).unwrap();
+            tx.try_send(Class::Bulk, (1, seq), || {}).unwrap();
+            tx.try_send(Class::Interactive, (0, 96 + seq), || {}).unwrap();
         }
         let m = rng.gen_range(8..=32usize);
         let mut served = [0usize; 2];
@@ -241,7 +241,7 @@ fn dedup_attach_resolves_each_waiter_exactly_once() {
                 0 | 1 => {
                     let id = next_id;
                     next_id += 1;
-                    match table.attach(epoch, source, id) {
+                    match table.attach(epoch, source, id, || {}) {
                         Attach::Leader(w) => {
                             assert_eq!(w, id, "leader got someone else's value");
                             assert!(!parked.contains_key(&key), "led over a live key");
@@ -255,7 +255,7 @@ fn dedup_attach_resolves_each_waiter_exactly_once() {
                 2 => {
                     let id = next_id;
                     next_id += 1;
-                    match table.join_if_inflight(epoch, source, id) {
+                    match table.join_if_inflight(epoch, source, id, || {}) {
                         None => parked.get_mut(&key).expect("joined a dead key").push(id),
                         Some(w) => {
                             assert_eq!(w, id, "bounced join lost its value");

@@ -12,7 +12,7 @@
 //!   every serialized type in the workspace.
 //! * [`prop`] — a small property-test harness: seeded case generation,
 //!   configurable case count, failing-seed reporting (no shrinking).
-//! * [`bench`] — a timing-loop bench harness exposing the subset of the
+//! * [`bench`](mod@bench) — a timing-loop bench harness exposing the subset of the
 //!   criterion API the `benches/` files use, so `cargo bench` runs offline.
 //!
 //! Everything compiles on stable Rust with `std` only; this crate must
