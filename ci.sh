@@ -24,7 +24,7 @@ RUSTDOCFLAGS="-D rustdoc::broken-intra-doc-links" cargo doc --no-deps --workspac
 
 # Telemetry gate: a seeded serve-bench run (its workers run the CPU
 # engine, one lane each) must emit a metrics snapshot that parses,
-# carries the required serve/cluster/core/cpu families, and has
+# carries the required serve/core/cpu families, and has
 # well-formed (monotone, bounded) histogram quantiles, and whose batches
 # recorded their levels (ibfs_core_levels_total above 0). metrics-check
 # also re-parses every Prometheus exposition value as a float, so a
@@ -64,6 +64,9 @@ test -s "$BENCH"
 
 # The CPU engine's differential wall under -O, as the benchmark builds it.
 cargo test -q --release --offline --test cpu_differential
+# The serve differential under -O: two workers pulling batches from the
+# one hand-off, every reply checked against the one-shot runner.
+cargo test -q --release --offline --test serve_differential
 
 # Profiler export gate: a seeded serve-bench (CPU engine) with the
 # profiler attached must export a ProfileReport and a Chrome trace-event

@@ -7,9 +7,9 @@
 //! bfs stats <GRAPH> [--engine ENGINE] [--sources N] [--group-size N]
 //!             [--groupby] [--json]
 //! bfs serve-bench <GRAPH> [--clients N] [--requests N] [--workers N]
-//!             [--max-batch N] [--window-us N] [--queue N] [--worker-queue N]
+//!             [--max-batch N] [--window-us N] [--queue N]
 //!             [--deadline-ms N] [--seed N] [--policy arrival|groupby]
-//!             [--router rr|lpt] [--qos] [--profile uniform|powerlaw]
+//!             [--qos] [--profile uniform|powerlaw]
 //!             [--bulk-clients N] [--burst N] [--cache N] [--bulk-quota N]
 //!             [--check] [--json] [--metrics-out PATH] [--metrics-text PATH]
 //!             [--trace PATH] [--profile-out PATH] [--profile-trace PATH]
@@ -65,7 +65,7 @@ use ibfs::trace::{GroupStamp, JsonlSink, MetricsSink, NullSink, TraceLog, TraceS
 use ibfs_bench::loadgen::{run_loadgen_with, LoadGenConfig, SourceProfile, BULK_TENANT};
 use ibfs_graph::{io, suite, Csr, VertexId, DEPTH_UNVISITED};
 use ibfs_obs::{EngineProfiler, Registry, Snapshot};
-use ibfs_serve::{CoalescePolicy, QosPolicy, RouterKind, ServeTelemetry};
+use ibfs_serve::{CoalescePolicy, QosPolicy, ServeTelemetry};
 use ibfs_util::{FromJson, Json, ToJson};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -466,10 +466,6 @@ fn serve_bench(args: Vec<String>) -> ExitCode {
                 Some(n) => cfg.serve.queue_capacity = n as usize,
                 None => return ExitCode::from(2),
             },
-            "--worker-queue" => match num("--worker-queue", &mut it) {
-                Some(n) => cfg.serve.worker_queue_capacity = n as usize,
-                None => return ExitCode::from(2),
-            },
             "--deadline-ms" => match num("--deadline-ms", &mut it) {
                 Some(n) => cfg.serve.default_deadline = Some(Duration::from_millis(n)),
                 None => return ExitCode::from(2),
@@ -483,13 +479,6 @@ fn serve_bench(args: Vec<String>) -> ExitCode {
                     Some("arrival") => CoalescePolicy::Arrival,
                     Some("groupby") => CoalescePolicy::GroupBy,
                     other => return usage(&format!("unknown policy {other:?}")),
-                }
-            }
-            "--router" => {
-                cfg.serve.router = match it.next().as_deref() {
-                    Some("rr") => RouterKind::RoundRobin,
-                    Some("lpt") => RouterKind::LeastLoaded,
-                    other => return usage(&format!("unknown router {other:?}")),
                 }
             }
             "--qos" => qos = true,
@@ -1124,8 +1113,8 @@ fn usage(msg: &str) -> ExitCode {
        bfs stats <GRAPH|suite:NAME> [--engine ENGINE] [--sources N] [--group-size N] \
          [--groupby] [--json]\n\
        bfs serve-bench <GRAPH|suite:NAME> [--clients N] [--requests N] [--workers N] \
-         [--max-batch N] [--window-us N] [--queue N] [--worker-queue N] [--deadline-ms N] \
-         [--seed N] [--policy arrival|groupby] [--router rr|lpt] [--qos] \
+         [--max-batch N] [--window-us N] [--queue N] [--deadline-ms N] \
+         [--seed N] [--policy arrival|groupby] [--qos] \
          [--profile uniform|powerlaw] [--bulk-clients N] [--burst N] [--cache N] \
          [--bulk-quota N] [--check] [--json] \
          [--metrics-out PATH|-] [--metrics-text PATH|-] [--trace PATH|-] \

@@ -7,12 +7,12 @@
 //! Parses the versioned JSON snapshot that `bfs serve-bench --metrics-out`
 //! writes and validates it: the required metric names are present (a
 //! trailing `*` matches any name with that prefix, covering labelled
-//! families like `ibfs_cluster_routed_total{device="0"}`), every histogram
+//! families like `ibfs_slo_burn_rate{class="bulk"}`), every histogram
 //! is well-formed (monotone p50 ≤ p90 ≤ p99 inside `[min, max]`, count and
 //! sum consistent), a snapshot that recorded batches also recorded their
 //! levels (`ibfs_core_levels_total` above 0), and the Prometheus rendering
 //! re-parses as plain floats. With no explicit names it checks the default
-//! serve/cluster/core/cpu set.
+//! serve/core/cpu set.
 //! Exits non-zero with a message on the first violation, so `ci.sh` can
 //! gate on telemetry without scraping anything.
 
@@ -33,8 +33,6 @@ const DEFAULT_REQUIRED: &[&str] = &[
     "ibfs_serve_quota_rejected_total",
     "ibfs_serve_dedup_joined_total",
     "ibfs_serve_cache_*",
-    "ibfs_cluster_routed_total*",
-    "ibfs_cluster_batch_weight",
     "ibfs_core_levels_total",
     "ibfs_core_frontier_size",
     "ibfs_cpu_groups_total",

@@ -91,6 +91,15 @@ impl ClusterRun {
     }
 }
 
+/// Estimated device work of one group of BFS sources: a base cost per
+/// instance (every instance traverses the whole graph) plus the group's
+/// source out-degrees, which proxy how quickly bottom-up parent discovery
+/// terminates.
+fn batch_weight(graph: &Csr, sources: &[VertexId]) -> u64 {
+    let deg_sum: u64 = sources.iter().map(|&s| graph.out_degree(s) as u64).sum();
+    sources.len() as u64 * 1_000 + deg_sum
+}
+
 /// Runs iBFS from `sources` across `config.gpus` simulated devices.
 pub fn run_cluster(
     graph: &Csr,
@@ -106,12 +115,7 @@ pub fn run_cluster(
     // whole graph (every group traverses everything) — in practice group
     // *size* is the imbalance driver, with a skew correction from the
     // group's source degrees (hub-adjacent groups finish bottom-up sooner).
-    // The same model prices batches in the online `router`.
-    let weights: Vec<u64> = grouping
-        .groups
-        .iter()
-        .map(|g| crate::router::batch_weight(graph, g))
-        .collect();
+    let weights: Vec<u64> = grouping.groups.iter().map(|g| batch_weight(graph, g)).collect();
     let assignment = if config.lpt {
         lpt_assign(&weights, config.gpus)
     } else {
@@ -198,6 +202,15 @@ mod tests {
 
     fn sources(n: usize) -> Vec<VertexId> {
         (0..n as VertexId).collect()
+    }
+
+    #[test]
+    fn batch_weight_scales_with_size_and_degree() {
+        let g = uniform_random(64, 4, 1);
+        let small = batch_weight(&g, &[0]);
+        let large = batch_weight(&g, &[0, 1, 2, 3]);
+        assert!(large > small);
+        assert_eq!(batch_weight(&g, &[]), 0);
     }
 
     #[test]

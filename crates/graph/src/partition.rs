@@ -1,5 +1,5 @@
 //! Work partitioning: contiguous range splitting and LPT bin packing, for
-//! the multi-GPU cluster simulation, the serve router and the CPU baseline.
+//! the multi-GPU cluster simulation and the CPU baseline.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -29,8 +29,8 @@
 //!   format.
 //!
 //! Metric names follow the convention `ibfs_<layer>_<name>` (e.g.
-//! `ibfs_serve_latency_seconds`, `ibfs_cluster_routed_total`); per-device
-//! instruments append Prometheus-style labels via [`labeled`].
+//! `ibfs_serve_latency_seconds`, `ibfs_cpu_groups_total`); per-class and
+//! per-phase instruments append Prometheus-style labels via [`labeled`].
 
 pub mod hist;
 pub mod profile;

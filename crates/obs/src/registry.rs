@@ -171,8 +171,8 @@ impl std::fmt::Debug for Registry {
 }
 
 /// Appends Prometheus-style labels to a metric name:
-/// `labeled("ibfs_cluster_routed_total", &[("device", "0")])` →
-/// `ibfs_cluster_routed_total{device="0"}`.
+/// `labeled("ibfs_serve_latency_seconds", &[("class", "bulk")])` →
+/// `ibfs_serve_latency_seconds{class="bulk"}`.
 pub fn labeled(name: &str, labels: &[(&str, &str)]) -> String {
     if labels.is_empty() {
         return name.to_string();

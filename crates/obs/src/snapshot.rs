@@ -295,7 +295,7 @@ mod tests {
         for v in [0.001, 0.002, 0.004, 0.1] {
             h.record(v);
         }
-        r.counter(&crate::registry::labeled("ibfs_cluster_routed_total", &[("device", "0")]))
+        r.counter(&crate::registry::labeled("ibfs_serve_shutdown_total", &[("class", "bulk")]))
             .inc();
         r.snapshot()
     }
@@ -329,9 +329,9 @@ mod tests {
         assert!(text.contains("# TYPE ibfs_serve_latency_seconds histogram"));
         assert!(text.contains("ibfs_serve_latency_seconds{quantile=\"0.5\"}"));
         assert!(text.contains("ibfs_serve_latency_seconds_count 4"));
-        assert!(text.contains("ibfs_cluster_routed_total{device=\"0\"} 1"));
+        assert!(text.contains("ibfs_serve_shutdown_total{class=\"bulk\"} 1"));
         // Label suffix never leaks into the TYPE line.
-        assert!(text.contains("# TYPE ibfs_cluster_routed_total counter"));
+        assert!(text.contains("# TYPE ibfs_serve_shutdown_total counter"));
         // Every sample value re-parses as a float: locale-stable output.
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let value = line.rsplit(' ').next().unwrap();
@@ -345,7 +345,7 @@ mod tests {
     #[test]
     fn validate_checks_presence_and_shape() {
         let s = sample();
-        assert!(s.validate(&["ibfs_serve_accepted_total", "ibfs_cluster_routed_total*"]).is_ok());
+        assert!(s.validate(&["ibfs_serve_accepted_total", "ibfs_serve_shutdown_total*"]).is_ok());
         let err = s.validate(&["ibfs_missing_total"]).unwrap_err();
         assert!(err.contains("ibfs_missing_total"));
 
@@ -424,6 +424,6 @@ mod tests {
         assert_eq!(s.gauge("ibfs_serve_queue_depth"), Some(3.0));
         assert_eq!(s.histogram("ibfs_serve_latency_seconds").unwrap().count, 4);
         assert_eq!(s.counter("nope"), None);
-        assert_eq!(s.with_prefix("ibfs_cluster_").count(), 1);
+        assert_eq!(s.with_prefix("ibfs_serve_shutdown").count(), 1);
     }
 }

@@ -6,28 +6,26 @@
 //! prepared batch. This crate closes that gap: many client threads submit
 //! single-source requests; a batcher coalesces a short admission window
 //! into batches of at most one CPU group, in arrival order or by the
-//! paper's §5.2 GroupBy rules; a router spreads batches across worker
-//! threads, each owning a resident `CpuService` that runs a batch as one
-//! group and emits its per-level events; every request resolves with
-//! exactly one of a depth array or a typed [`ServeError`].
+//! paper's §5.2 GroupBy rules; each batch goes, through one
+//! `std::sync::mpsc` rendezvous, to whichever worker thread is idle next,
+//! and that worker's resident `CpuService` runs it as one group and emits
+//! its per-level events; every request resolves with exactly one of a
+//! depth array or a typed [`ServeError`].
 //!
 //! Entry point: [`serve`] — run a closure against a [`ServeHandle`], get a
 //! [`ServeReport`] back after graceful drain. Layers, front to back:
 //!
-//! * [`channel`] — in-tree bounded MPMC + oneshot primitives (hermetic
-//!   policy: no external crates).
 //! * [`error`] — the [`ServeError`] taxonomy
 //!   (Timeout/Overloaded/QuotaExceeded/Shutdown/Invalid).
 //! * [`qos`] — the multi-tenant front door: priority classes, the
 //!   weighted-fair admission queue, per-tenant quotas, in-flight dedup,
 //!   and the epoch-tagged LRU result cache.
 //! * [`coalesce`] — window → batches planning (arrival order or GroupBy).
-//! * [`server`] — admission, batching, routing, workers, lifecycle.
+//! * [`server`] — admission, batching, the hand-off, workers, lifecycle.
 //! * [`metrics`] — per-batch records and the end-of-run [`ServeReport`].
 //! * [`slo`] — the rolling per-class SLO tracker behind the live
 //!   `ibfs_slo_*` gauges (`bfs top`'s data source).
 
-pub mod channel;
 pub mod coalesce;
 pub mod error;
 pub mod metrics;
@@ -43,7 +41,6 @@ pub use qos::{
     TenantId, NUM_CLASSES,
 };
 pub use server::{
-    effective_max_batch, serve, serve_with, BfsResponse, RouterKind, ServeConfig, ServeHandle,
-    Ticket,
+    effective_max_batch, serve, serve_with, BfsResponse, ServeConfig, ServeHandle, Ticket,
 };
 pub use slo::{register_slo_metrics, SloConfig, SloObjective, SloTracker};

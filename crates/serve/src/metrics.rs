@@ -35,8 +35,9 @@ pub fn class_metric(name: &str, class: Class) -> String {
 /// What the serve stack records into: a metrics registry (always) and an
 /// optional shared trace log for span + per-level events.
 ///
-/// The registry may be shared across serve runs (and with the cluster
-/// router and core layers); the report still shows per-run deltas.
+/// The registry may be shared across serve runs (and with the core and CPU
+/// engine layers, whose workers record into it); the report still shows
+/// per-run deltas.
 #[derive(Clone, Debug)]
 pub struct ServeTelemetry {
     /// Destination registry for all `ibfs_serve_*` instruments.
@@ -45,8 +46,9 @@ pub struct ServeTelemetry {
     /// pushed here. `None` keeps the hot path span-free.
     pub trace: Option<TraceLog>,
     /// When set, every dispatched batch records a
-    /// [`ProfPhase::ServeBatch`] phase into it (track = device, level =
-    /// batch id), joining the engine records on the shared timeline.
+    /// [`ProfPhase::ServeBatch`] phase into it (track = the worker that ran
+    /// it, level = batch id), joining the engine records on the shared
+    /// timeline.
     pub profiler: Option<Arc<EngineProfiler>>,
 }
 
@@ -376,8 +378,8 @@ pub struct ServeReport {
     pub shutdown_by_class: [u64; NUM_CLASSES],
     /// Aggregate statistics.
     pub stats: ServeStats,
-    /// Snapshot of the telemetry registry at drain (includes cluster and
-    /// core instruments when those layers share the registry).
+    /// Snapshot of the telemetry registry at drain (includes the core and
+    /// CPU engine instruments the workers record).
     pub snapshot: Snapshot,
     /// Every batch's record, in completion order.
     pub batches: Vec<BatchMetrics>,

@@ -35,10 +35,10 @@
 //! unlimited quota, no dedup, no cache — only the admission queue changes
 //! representation, and a single-class fair queue is FIFO.
 
-use crate::channel::{RecvTimeoutError, SendError, TrySendError};
 use ibfs_graph::{Depth, VertexId};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -287,9 +287,9 @@ pub struct FairReceiver<T> {
 
 /// Creates a weighted-fair bounded queue: one FIFO lane of capacity
 /// `per_class_cap` per class, drained by weighted fair queuing over
-/// `weights`. Disconnect semantics match [`crate::channel::bounded`]:
-/// receivers drain what is queued after the last sender drops, senders
-/// fail once every receiver is gone.
+/// `weights`. Disconnect semantics, and the error types, are those of
+/// [`std::sync::mpsc`]: receivers drain what is queued after the last
+/// sender drops, senders fail once every receiver is gone.
 ///
 /// # Panics
 /// Panics if `per_class_cap` is zero.
@@ -410,7 +410,7 @@ impl<T> FairReceiver<T> {
 
     /// Blocks until any lane has a value, then pops by weighted fairness.
     /// Fails only when every lane is empty and every sender is gone.
-    pub fn recv(&self) -> Result<T, crate::channel::RecvError> {
+    pub fn recv(&self) -> Result<T, RecvError> {
         let mut st = self.chan.state.lock().unwrap();
         loop {
             if let Some(v) = self.pop(&mut st) {
@@ -419,7 +419,7 @@ impl<T> FairReceiver<T> {
                 return Ok(v);
             }
             if st.senders == 0 {
-                return Err(crate::channel::RecvError);
+                return Err(RecvError);
             }
             st = self.chan.not_empty.wait(st).unwrap();
         }
@@ -965,7 +965,7 @@ mod tests {
         tx.send(Class::Interactive, 9u32, || {}).unwrap();
         drop(tx);
         assert_eq!(rx.recv(), Ok(9));
-        assert_eq!(rx.recv(), Err(crate::channel::RecvError));
+        assert_eq!(rx.recv(), Err(RecvError));
 
         let (tx, rx) = fair_bounded(4, [4, 1]);
         drop(rx);

@@ -188,7 +188,6 @@ fn abort_resolves_every_ticket_exactly_once() {
         queue_capacity: 4,
         max_batch: 4,
         batch_window: Duration::from_micros(100),
-        poll_tick: Duration::from_micros(500),
         ..Default::default()
     };
     let ((oks, shutdowns, rejected), report) = serve(&g, &r, config, |h| {
@@ -249,7 +248,6 @@ fn try_submit_burst_on_tiny_queue_reports_overload() {
     let config = ServeConfig {
         workers: 1,
         queue_capacity: 1, // one slot: a burst must trip Overloaded
-        worker_queue_capacity: 1,
         max_batch: 1, // every request is its own batch: slowest pipeline
         batch_window: Duration::ZERO,
         ..Default::default()
@@ -344,7 +342,6 @@ fn bulk_storm_cannot_overload_the_interactive_class() {
     let config = ServeConfig {
         workers: 1,
         queue_capacity: 4, // per class lane
-        worker_queue_capacity: 1,
         max_batch: 2, // slow pipeline: the bulk lane must overflow
         batch_window: Duration::ZERO,
         qos: QosPolicy::default(),

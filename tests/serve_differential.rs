@@ -6,8 +6,8 @@
 //! comes back must be **bit-identical** to [`reference_bfs`] of the same
 //! source on the same graph, and so to the frozen pre-pool CPU engine
 //! ([`run_cpu_baseline`]), which is checked against it — the batcher, the
-//! GroupBy coalescing, the router, and the resident CPU services may
-//! change *when* and *with whom* a source is traversed, but never the
+//! GroupBy coalescing, the worker hand-off, and the resident CPU services
+//! may change *when* and *with whom* a source is traversed, but never the
 //! answer. (`tests/engine_correctness.rs` pins the CPU depths to the GPU
 //! engines'.) Depth arrays are compared both directly and through the
 //! same FNV-1a hash the golden snapshot suite uses.
