@@ -17,7 +17,7 @@
 //!             [--group-size N] [--threads N[,N...]] [--width 32|64|128|256]
 //!             [--repeat N] [--check] [--out PATH] [--profile-out PATH]
 //!             [--profile-trace PATH]
-//! bfs perf-diff <BASE.json> <NEW.json> [--noise PCT] [--calibrate ENGINE] [--check]
+//! bfs perf-diff <BASE.json> <NEW.json> [--noise PCT] [--check]
 //! bfs bench-pairs <PARENT_DIR> <CHANGE_DIR> [--spec BENCHMARK.json]
 //! bfs top <SNAPSHOT.json> [--ticks N] [--interval-ms N] [--no-clear]
 //!
@@ -47,11 +47,13 @@
 //! `chrome://tracing` or Perfetto). The benches take the same pair as
 //! `--profile-out`/`--profile-trace` (serve-bench already uses
 //! `--profile` for the source distribution). `perf-diff` compares two
-//! cpu-bench reports and, with `--check`, fails on TEPS regressions
-//! beyond `--noise` percent. `bench-pairs` pairs two directories of the
-//! end-to-end benchmark's `--out` documents by workload and seed and
-//! prints, per end-to-end metric, the medians, quartiles, wins and a
-//! verdict against the bounds in `--spec` (see `ibfs_bench::pairs`).
+//! cpu-bench reports by their same-run speedup over the baseline, per
+//! thread count, and with `--check` fails when a speedup moves more than
+//! `--noise` percent either way or a thread count disappears.
+//! `bench-pairs` pairs two directories of the end-to-end benchmark's
+//! `--out` documents by workload and seed and prints, per end-to-end
+//! metric, the medians, quartiles, wins and a verdict against the bounds
+//! in `--spec` (see `ibfs_bench::pairs`).
 //! `top` polls a metrics snapshot file and redraws a live
 //! SLO/serve/profiler dashboard.
 //! ```
@@ -921,12 +923,11 @@ fn cpu_bench(args: Vec<String>) -> ExitCode {
 }
 
 /// `bfs perf-diff` — compare two `BENCH_cpu.json` documents and fail (with
-/// `--check`) on TEPS regressions beyond the noise band.
+/// `--check`) when a speedup leaves the noise band or a row disappears.
 fn perf_diff(args: Vec<String>) -> ExitCode {
     use ibfs_bench::perfdiff::{diff_report_texts, render_diff, DEFAULT_NOISE_PCT};
     let mut noise = DEFAULT_NOISE_PCT;
     let mut check = false;
-    let mut calibrate: Option<String> = None;
     let mut paths: Vec<String> = Vec::new();
 
     let mut it = args.into_iter();
@@ -936,12 +937,6 @@ fn perf_diff(args: Vec<String>) -> ExitCode {
                 noise = match it.next().and_then(|s| s.parse::<f64>().ok()) {
                     Some(n) if n >= 0.0 => n,
                     _ => return usage("--noise needs a non-negative percentage"),
-                }
-            }
-            "--calibrate" => {
-                calibrate = match it.next() {
-                    Some(e) if !e.starts_with("--") => Some(e),
-                    _ => return usage("--calibrate needs an engine name"),
                 }
             }
             "--check" => check = true,
@@ -964,8 +959,7 @@ fn perf_diff(args: Vec<String>) -> ExitCode {
             }
         }
     }
-    match diff_report_texts(&texts[0], &paths[0], &texts[1], &paths[1], noise, calibrate.as_deref())
-    {
+    match diff_report_texts(&texts[0], &paths[0], &texts[1], &paths[1], noise) {
         Ok(diff) => {
             print!("{}", render_diff(&diff, &paths[0], &paths[1]));
             if check && !diff.passes() {
@@ -1122,7 +1116,7 @@ fn usage(msg: &str) -> ExitCode {
        bfs cpu-bench [--scale N] [--edge-factor N] [--seed N] [--sources N] \
          [--group-size N] [--threads N[,N...]] [--width 32|64|128|256] \
          [--repeat N] [--check] [--out PATH|-] [--profile-out PATH|-] [--profile-trace PATH|-]\n\
-       bfs perf-diff <BASE.json> <NEW.json> [--noise PCT] [--calibrate ENGINE] [--check]\n\
+       bfs perf-diff <BASE.json> <NEW.json> [--noise PCT] [--check]\n\
        bfs bench-pairs <PARENT_DIR> <CHANGE_DIR> [--spec BENCHMARK.json]\n\
        bfs top <SNAPSHOT.json> [--ticks N] [--interval-ms N] [--no-clear]"
     );

@@ -4,11 +4,11 @@
 //! Runs a seeded fig22-style R-MAT workload through the frozen pre-pool
 //! baseline ([`ibfs::cpu_baseline::run_cpu_baseline`]) and the CPU engine
 //! ([`ibfs::cpu::CpuService`], recorded as `pooled`) at each requested
-//! thread count, and reports TEPS, per-level wall times, and the
-//! speedup-over-baseline curve. With `check`, every run's depths are
-//! asserted equal to `reference_bfs` and to the baseline. The emitted JSON
-//! is the repo's perf trajectory record: committed once per perf PR so
-//! regressions are diffable.
+//! thread count, and reports one row per thread count: both paths' wall
+//! seconds and TEPS and the engine's speedup over the baseline. With
+//! `check`, every run's depths are asserted equal to `reference_bfs` and
+//! to the baseline. The emitted JSON is the repo's perf trajectory record,
+//! and `bfs perf-diff` compares its speedups.
 
 use ibfs::cpu::{CpuOptions, CpuRun, CpuService};
 use ibfs::cpu_baseline::run_cpu_baseline;
@@ -16,27 +16,13 @@ use ibfs::direction::DirectionPolicy;
 use ibfs::word::WordWidth;
 use ibfs_graph::generators::{rmat, RmatParams};
 use ibfs_graph::validate::reference_bfs;
-use ibfs_graph::{Csr, VertexId, DEPTH_UNVISITED};
+use ibfs_graph::{Csr, VertexId};
 use ibfs_util::json::{FromJson, ToJson};
 use ibfs_util::json_struct;
 
-/// Schema version stamped into `BENCH_cpu.json`. v2: multi-engine runs
-/// (`tiled`/`async` joined `baseline`/`pooled`) and per-engine speedups
-/// (`engine`/`engine_teps` replaced the pooled-only fields). v3: the
-/// `hub_gate` block records whether the tiling gate ran, whether its TEPS
-/// ordering was *enforced* (multi-core hosts only), and the measured
-/// rates — so `bfs perf-diff` can tell "gate passed" apart from "gate
-/// not enforced on this host". v4: every run and speedup row carries the
-/// vertex `reorder` ordering it was measured under (`"none"` for the
-/// unreordered rows, which every reordered row must have as its in-report
-/// baseline), and a reorder-gate block records the tiled-vs-
-/// tiled+reordered locality gate the same way `hub_gate` records tiling.
-/// v5: the tiled and async engines are gone, and with them the tile-size
-/// field and the `hub_gate` block; the reorder gate compares the one engine
-/// with and without the ordering, so its `tiled_teps` is now `plain_teps`.
-/// v6: vertex reordering is gone, and with it the `reorder` field of runs
-/// and speedups and the reorder-gate block.
-pub const SCHEMA_VERSION: u64 = 6;
+/// Schema version stamped into `BENCH_cpu.json`. v7: one row per thread
+/// count.
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// Workload configuration for the CPU benchmark.
 #[derive(Clone, Debug)]
@@ -58,9 +44,9 @@ pub struct CpuBenchConfig {
     /// Verify every run's depths against `reference_bfs` (and the
     /// baseline).
     pub check: bool,
-    /// Wall-clock noise damping: run every engine × thread-count
-    /// measurement this many times and report the best (highest-TEPS)
-    /// pass. 0 and 1 both mean one pass.
+    /// Wall-clock noise damping: at each thread count, run this many
+    /// passes of each path, alternating, and report each path's best
+    /// (highest-TEPS) pass. 0 and 1 both mean one pass.
     /// TEPS outliers on a loaded host are always downward, so best-of is
     /// the stable estimator — `ci.sh` leans on this for its tight
     /// profiler-overhead band.
@@ -87,57 +73,37 @@ impl Default for CpuBenchConfig {
     }
 }
 
-/// One engine × thread-count measurement.
+/// The baseline and the engine at one thread count, measured in the same
+/// run.
 #[derive(Clone, Debug)]
-pub struct CpuBenchRun {
-    /// `"baseline"` (pre-pool `run_cpu`) or `"pooled"` (the CPU engine).
-    pub engine: String,
-    /// Worker threads used.
+pub struct CpuBenchRow {
+    /// Worker threads used by both paths.
     pub threads: u64,
-    /// Total wall-clock seconds over all groups.
-    pub wall_seconds: f64,
-    /// Traversed directed edges over all groups.
+    /// Traversed directed edges over all groups; both paths traverse the
+    /// same edges.
     pub traversed_edges: u64,
-    /// Traversal rate.
-    pub teps: f64,
-    /// Groups run.
-    pub groups: u64,
-    /// BFS levels run (summed over groups).
-    pub levels: u64,
-    /// Per-level wall seconds, element-wise summed across groups.
-    pub level_seconds: Vec<f64>,
-    /// Pool phases dispatched (0 for the baseline, which has no pool).
-    pub pool_phases: u64,
-}
-
-json_struct!(CpuBenchRun {
-    engine,
-    threads,
-    wall_seconds,
-    traversed_edges,
-    teps,
-    groups,
-    levels,
-    level_seconds,
-    pool_phases,
-});
-
-/// Engine-vs-baseline comparison at one thread count.
-#[derive(Clone, Debug)]
-pub struct CpuSpeedup {
-    /// The measured engine (`"pooled"`).
-    pub engine: String,
-    /// Worker threads.
-    pub threads: u64,
-    /// Baseline TEPS.
+    /// The baseline's wall-clock seconds over all groups.
+    pub baseline_seconds: f64,
+    /// The baseline's traversal rate.
     pub baseline_teps: f64,
-    /// The engine's TEPS.
+    /// The engine's wall-clock seconds over all groups.
+    pub engine_seconds: f64,
+    /// The engine's traversal rate.
     pub engine_teps: f64,
-    /// `engine_teps / baseline_teps`.
+    /// `engine_teps / baseline_teps`: the quantity `bfs perf-diff`
+    /// compares.
     pub speedup: f64,
 }
 
-json_struct!(CpuSpeedup { engine, threads, baseline_teps, engine_teps, speedup });
+json_struct!(CpuBenchRow {
+    threads,
+    traversed_edges,
+    baseline_seconds,
+    baseline_teps,
+    engine_seconds,
+    engine_teps,
+    speedup,
+});
 
 /// The full `BENCH_cpu.json` document.
 #[derive(Clone, Debug)]
@@ -162,10 +128,8 @@ pub struct CpuBenchReport {
     pub group_size: u64,
     /// Status-word width in bits.
     pub width_bits: u64,
-    /// Every engine × thread-count measurement.
-    pub runs: Vec<CpuBenchRun>,
-    /// The per-engine thread-scaling speedup curve.
-    pub speedups: Vec<CpuSpeedup>,
+    /// One row per requested thread count, in request order.
+    pub rows: Vec<CpuBenchRow>,
 }
 
 json_struct!(CpuBenchReport {
@@ -179,33 +143,16 @@ json_struct!(CpuBenchReport {
     sources,
     group_size,
     width_bits,
-    runs,
-    speedups,
+    rows,
 });
 
-fn summarize(engine: &str, threads: usize, runs: &[CpuRun], pool_phases: u64) -> CpuBenchRun {
-    let wall: f64 = runs.iter().map(|r| r.wall_seconds).sum();
-    let edges: u64 = runs.iter().map(|r| r.traversed_edges).sum();
-    let mut level_seconds: Vec<f64> = Vec::new();
-    for r in runs {
-        if level_seconds.len() < r.level_seconds.len() {
-            level_seconds.resize(r.level_seconds.len(), 0.0);
-        }
-        for (acc, &s) in level_seconds.iter_mut().zip(&r.level_seconds) {
-            *acc += s;
-        }
-    }
-    CpuBenchRun {
-        engine: engine.to_string(),
-        threads: threads as u64,
-        wall_seconds: wall,
-        traversed_edges: edges,
-        teps: edges as f64 / wall.max(1e-12),
-        groups: runs.len() as u64,
-        levels: runs.iter().map(|r| r.level_seconds.len() as u64).sum(),
-        level_seconds,
-        pool_phases,
-    }
+/// Wall seconds and traversed edges summed over one pass's groups.
+fn totals(runs: &[CpuRun]) -> (f64, u64) {
+    (runs.iter().map(|r| r.wall_seconds).sum(), runs.iter().map(|r| r.traversed_edges).sum())
+}
+
+fn teps(edges: u64, seconds: f64) -> f64 {
+    edges as f64 / seconds.max(1e-12)
 }
 
 fn check_depths(graph: &Csr, sources: &[VertexId], runs: &[CpuRun], what: &str) {
@@ -239,29 +186,33 @@ pub fn run_cpu_bench(cfg: &CpuBenchConfig) -> CpuBenchReport {
         rs.iter().flat_map(|r| r.depths.iter().copied()).collect()
     };
 
-    let repeat = cfg.repeat.max(1);
-    // Best (highest-TEPS) pass out of `repeat`; outliers are downward.
-    let best_of = |passes: &mut dyn FnMut() -> Vec<CpuRun>| -> Vec<CpuRun> {
-        let teps_of = |rs: &[CpuRun]| -> f64 {
-            let wall: f64 = rs.iter().map(|r| r.wall_seconds).sum();
-            rs.iter().map(|r| r.traversed_edges).sum::<u64>() as f64 / wall.max(1e-12)
+    // Keeps the best (highest-TEPS) pass: outliers are downward.
+    let keep_best = |best: &mut Vec<CpuRun>, pass: Vec<CpuRun>| {
+        let teps_of = |rs: &[CpuRun]| {
+            let (wall, edges) = totals(rs);
+            teps(edges, wall)
         };
-        let mut best = passes();
-        for _ in 1..repeat {
-            let next = passes();
-            if teps_of(&next) > teps_of(&best) {
-                best = next;
-            }
+        if best.is_empty() || teps_of(&pass) > teps_of(best) {
+            *best = pass;
         }
-        best
     };
 
-    let mut runs = Vec::new();
-    let mut speedups = Vec::new();
+    let mut rows = Vec::new();
     for &threads in &cfg.threads {
-        // Baseline: the frozen pre-pool path (64-wide u64 words).
-        let baseline_runs = best_of(&mut || {
-            sources
+        // One resident service, pool + arena reused across the run's
+        // groups — and across best-of repeats, which also warms the pool
+        // before the counted passes.
+        let opts = CpuOptions { threads, width: cfg.width, ..Default::default() };
+        let mut svc = CpuService::new(&graph, &reverse, opts);
+        if let Some(p) = &cfg.profiler {
+            svc.set_profiler(p.clone());
+        }
+        // The two paths' passes alternate, so a slow spell of the host
+        // lands on both and the speedup stays a same-run ratio.
+        let (mut baseline_runs, mut engine_runs) = (Vec::new(), Vec::new());
+        for _ in 0..cfg.repeat.max(1) {
+            // Baseline: the frozen pre-pool path (64-wide u64 words).
+            let pass = sources
                 .chunks(group_size.min(ibfs::cpu_baseline::BASELINE_GROUP))
                 .map(|group| {
                     run_cpu_baseline(
@@ -275,32 +226,14 @@ pub fn run_cpu_bench(cfg: &CpuBenchConfig) -> CpuBenchReport {
                         0,
                     )
                 })
-                .collect()
-        });
-        let b = summarize("baseline", threads, &baseline_runs, 0);
-        let baseline_teps = b.teps;
-        runs.push(b);
-
-        // One resident service, pool + arena reused across the run's
-        // groups — and across best-of repeats, which also warms the pool
-        // before the counted passes.
-        let opts = CpuOptions { threads, width: cfg.width, ..Default::default() };
-        let mut svc = CpuService::new(&graph, &reverse, opts);
-        if let Some(p) = &cfg.profiler {
-            svc.set_profiler(p.clone());
-        }
-        let mut pool_phases = 0;
-        let engine_runs = best_of(&mut || {
-            let before = svc.stats().pool_phases;
-            let rs: Vec<CpuRun> = sources
+                .collect();
+            keep_best(&mut baseline_runs, pass);
+            let pass = sources
                 .chunks(group_size)
                 .map(|group| svc.run_group(group).expect("bench groups are sized to capacity"))
                 .collect();
-            // Phases per pass are identical across repeats (same plan,
-            // same groups), so the last pass's delta stands for all.
-            pool_phases = svc.stats().pool_phases - before;
-            rs
-        });
+            keep_best(&mut engine_runs, pass);
+        }
 
         if cfg.check {
             check_depths(&graph, &sources, &engine_runs, "pooled");
@@ -316,15 +249,21 @@ pub fn run_cpu_bench(cfg: &CpuBenchConfig) -> CpuBenchReport {
             }
         }
 
-        let e = summarize("pooled", threads, &engine_runs, pool_phases);
-        speedups.push(CpuSpeedup {
-            engine: e.engine.clone(),
+        let (baseline_seconds, baseline_edges) = totals(&baseline_runs);
+        let (engine_seconds, traversed_edges) = totals(&engine_runs);
+        // Traversed edges are a function of the depths alone.
+        assert_eq!(baseline_edges, traversed_edges, "paths traversed different edges");
+        let baseline_teps = teps(traversed_edges, baseline_seconds);
+        let engine_teps = teps(traversed_edges, engine_seconds);
+        rows.push(CpuBenchRow {
             threads: threads as u64,
+            traversed_edges,
+            baseline_seconds,
             baseline_teps,
-            engine_teps: e.teps,
-            speedup: e.teps / baseline_teps.max(1e-12),
+            engine_seconds,
+            engine_teps,
+            speedup: engine_teps / baseline_teps,
         });
-        runs.push(e);
     }
 
     CpuBenchReport {
@@ -338,8 +277,7 @@ pub fn run_cpu_bench(cfg: &CpuBenchConfig) -> CpuBenchReport {
         sources: sources.len() as u64,
         group_size: group_size as u64,
         width_bits: cfg.width.bits() as u64,
-        runs,
-        speedups,
+        rows,
     }
 }
 
@@ -356,50 +294,25 @@ pub fn validate_report_json(text: &str) -> Result<CpuBenchReport, String> {
             report.schema_version
         ));
     }
-    if report.runs.is_empty() {
-        return Err("no runs recorded".to_string());
+    if report.rows.is_empty() {
+        return Err("no rows recorded".to_string());
     }
-    let mut baselines = 0usize;
-    for run in &report.runs {
-        if run.engine != "baseline" && run.engine != "pooled" {
-            return Err(format!("unknown engine {:?}", run.engine));
+    for row in &report.rows {
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        if row.threads == 0
+            || row.traversed_edges == 0
+            || ![row.baseline_seconds, row.baseline_teps, row.engine_seconds, row.engine_teps]
+                .into_iter()
+                .all(positive)
+        {
+            return Err(format!("degenerate row: {row:?}"));
         }
-        if run.engine == "baseline" {
-            baselines += 1;
-        }
-        if run.threads == 0 || run.wall_seconds <= 0.0 || run.traversed_edges == 0 {
+        let want = row.engine_teps / row.baseline_teps;
+        if (row.speedup - want).abs() > 1e-9 * want {
             return Err(format!(
-                "degenerate run: engine={} threads={} wall={} edges={}",
-                run.engine, run.threads, run.wall_seconds, run.traversed_edges
+                "speedup {} at {} threads disagrees with its TEPS ({want})",
+                row.speedup, row.threads
             ));
-        }
-        // `levels` sums across groups; `level_seconds` is element-wise
-        // merged, so its length is the deepest group's level count.
-        let deepest = run.level_seconds.len() as u64;
-        if deepest == 0 || deepest > run.levels || deepest * run.groups < run.levels {
-            return Err(format!(
-                "level_seconds has {} entries for {} levels over {} groups",
-                run.level_seconds.len(),
-                run.levels,
-                run.groups
-            ));
-        }
-    }
-    if baselines == 0 {
-        return Err("no baseline runs recorded".to_string());
-    }
-    // One baseline per thread count, one speedup per measured-engine run.
-    if report.speedups.len() + baselines != report.runs.len() {
-        return Err(format!(
-            "{} speedups + {} baselines != {} runs (one speedup per engine run expected)",
-            report.speedups.len(),
-            baselines,
-            report.runs.len()
-        ));
-    }
-    for s in &report.speedups {
-        if s.engine != "pooled" {
-            return Err(format!("speedup for unknown engine {:?}", s.engine));
         }
     }
     Ok(report)
@@ -428,19 +341,15 @@ pub fn report_summary(report: &CpuBenchReport) -> String {
         report.group_size,
         report.width_bits,
     );
-    for s in &report.speedups {
+    for r in &report.rows {
         let _ = writeln!(
             out,
-            "  threads={:<2} baseline {:>12.0} TEPS | {:<10} {:>12.0} TEPS | speedup {:.2}x",
-            s.threads, s.baseline_teps, s.engine, s.engine_teps, s.speedup
+            "  threads={:<2} baseline {:>12.0} TEPS | pooled {:>12.0} TEPS | speedup {:.2}x",
+            r.threads, r.baseline_teps, r.engine_teps, r.speedup
         );
     }
     out
 }
-
-/// `DEPTH_UNVISITED` re-exported so binaries do not need ibfs-graph
-/// directly for sanity checks.
-pub const UNVISITED: ibfs_graph::Depth = DEPTH_UNVISITED;
 
 #[cfg(test)]
 mod tests {
@@ -462,12 +371,11 @@ mod tests {
     #[test]
     fn bench_report_round_trips_and_validates() {
         let report = run_cpu_bench(&tiny_config());
-        assert_eq!(report.runs.len(), 4);
-        assert_eq!(report.speedups.len(), 2);
+        assert_eq!(report.rows.len(), 2);
         let text = report_to_json(&report);
         let parsed = validate_report_json(&text).expect("schema-valid");
         assert_eq!(parsed.num_vertices, report.num_vertices);
-        assert_eq!(parsed.runs.len(), 4);
+        assert_eq!(parsed.rows.len(), 2);
         assert!(report_summary(&parsed).contains("threads=1"));
         assert!(report_summary(&parsed).contains("pooled"));
     }
@@ -481,7 +389,7 @@ mod tests {
             profiler: Some(prof.clone()),
             ..tiny_config()
         });
-        assert_eq!(report.runs.len(), 2);
+        assert_eq!(report.rows.len(), 1);
         let prof_report = prof.report("cpu-bench");
         prof_report.validate().expect("profile validates");
         let phases = prof_report.phases();
@@ -498,20 +406,25 @@ mod tests {
             check: false,
             ..tiny_config()
         });
-        let good = report_to_json(&report);
-        assert!(validate_report_json(&good).is_ok());
+        assert!(validate_report_json(&report_to_json(&report)).is_ok());
         assert!(validate_report_json("{}").is_err());
         assert!(validate_report_json("not json").is_err());
-        let wrong_version = good.replace("\"schema_version\": 6", "\"schema_version\": 99");
-        assert!(validate_report_json(&wrong_version).unwrap_err().contains("schema_version"));
-        let wrong_engine = good.replace("\"engine\": \"pooled\"", "\"engine\": \"cuda\"");
-        assert!(validate_report_json(&wrong_engine).unwrap_err().contains("unknown engine"));
-        let no_threads = good.replace("\"threads\": 1", "\"threads\": 0");
-        assert!(validate_report_json(&no_threads).unwrap_err().contains("degenerate run"));
+        let tampered = |edit: &dyn Fn(&mut CpuBenchReport)| {
+            let mut bad = report.clone();
+            edit(&mut bad);
+            validate_report_json(&report_to_json(&bad)).unwrap_err()
+        };
+        assert!(tampered(&|r| r.schema_version = 6).contains("schema_version"));
+        assert!(tampered(&|r| r.rows.clear()).contains("no rows"));
+        assert!(tampered(&|r| r.rows[0].threads = 0).contains("degenerate row"));
+        assert!(tampered(&|r| r.rows[0].baseline_seconds = 0.0).contains("degenerate row"));
+        assert!(tampered(&|r| r.rows[0].engine_teps = f64::NAN).contains("degenerate row"));
+        assert!(tampered(&|r| r.rows[0].speedup *= 1.01).contains("disagrees with its TEPS"));
     }
 
     #[test]
     fn wide_width_runs_fewer_groups() {
+        let prof = ibfs_obs::EngineProfiler::shared();
         let cfg = CpuBenchConfig {
             scale: 8,
             edge_factor: 8,
@@ -521,13 +434,18 @@ mod tests {
             threads: vec![1],
             width: WordWidth::W256,
             check: true,
+            profiler: Some(prof.clone()),
             ..CpuBenchConfig::default()
         };
         let report = run_cpu_bench(&cfg);
-        let pooled = report.runs.iter().find(|r| r.engine == "pooled").unwrap();
-        // 100 sources in one 256-wide group; the 64-wide baseline needs 2.
-        assert_eq!(pooled.groups, 1);
-        let baseline = report.runs.iter().find(|r| r.engine == "baseline").unwrap();
-        assert_eq!(baseline.groups, 2);
+        assert_eq!(report.group_size, 256);
+        assert_eq!(report.rows.len(), 1);
+        // Every engine group opens one profiler track: the 100 sources ran
+        // as one 256-wide group, where the 64-wide baseline needs 2.
+        let lanes = prof.report("cpu-bench").lanes();
+        let mut tracks: Vec<u64> = lanes.iter().map(|&(track, _)| track).collect();
+        tracks.sort_unstable();
+        tracks.dedup();
+        assert_eq!(tracks.len(), 1);
     }
 }

@@ -1,6 +1,5 @@
 //! Ablation report for the design choices of DESIGN.md §5, in *simulated*
-//! metrics (the criterion benches in `benches/ablations.rs` measure host
-//! time of the simulator instead).
+//! metrics.
 //!
 //! Each row disables one design element and reports the change in
 //! simulated time and global load transactions on a mid-size Kronecker

@@ -3,8 +3,7 @@
 //!
 //! Each `figN`/`table1` module exposes `run(&HarnessConfig) -> FigureResult`;
 //! the `reproduce` binary prints the results as text tables and can dump
-//! them as JSON. Criterion micro-benches in `benches/` reuse the same
-//! modules at reduced scale.
+//! them as JSON.
 
 pub mod cpubench;
 pub mod figures;
@@ -54,7 +53,7 @@ impl Default for HarnessConfig {
 }
 
 impl HarnessConfig {
-    /// A configuration small enough for unit tests and criterion benches.
+    /// A configuration small enough for unit tests.
     pub fn tiny() -> Self {
         HarnessConfig {
             shrink: 4,

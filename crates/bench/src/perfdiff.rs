@@ -2,145 +2,98 @@
 //!
 //! The committed benchmark report is the repo's perf trajectory record;
 //! this module turns a pair of reports into a reviewable table and a CI
-//! verdict. Runs are matched by `(engine, threads)`, keyed
-//! `engine@threads`; a run whose TEPS falls below `base * (1 - noise/100)`
-//! is a regression.
+//! verdict. Rows are matched by thread count, and the one compared
+//! quantity is each row's same-run speedup: the engine's TEPS over the
+//! frozen baseline's, both measured in the same run. A slow or busy host
+//! slows both paths, so its speed divides out of the ratio; a slowdown in
+//! code both paths share (`Csr`, the generators) divides out too.
 //!
-//! The noise band exists because TEPS is a wall-clock measurement: the
-//! default [`DEFAULT_NOISE_PCT`] absorbs scheduler jitter and
-//! cross-machine variance for the committed-baseline gate, while the
-//! profiler-overhead gate in `ci.sh` pins a tight 5% band between two
-//! back-to-back runs on the same host.
+//! A row fails when `new_speedup / base_speedup` leaves
+//! `[1 - noise/100, 1 + noise/100]`. The band is two-sided on purpose: a
+//! record that has gone stale (the engine got faster since it was
+//! written) would otherwise hide a later regression. A thread count that
+//! is in the base report but missing from the new one fails as well.
 //!
-//! For tight same-host comparisons the dominant error source is host
-//! drift: a noisy neighbour slows *both* sides' engines equally, which a
-//! per-row band misreads as a regression. `--calibrate ENGINE` names a
-//! run that is identical in both reports (the unprofiled `baseline` row
-//! in the overhead gate); its ratio measures pure host drift and scales
-//! the floor down accordingly. Calibration only ever loosens the gate
-//! (it is clamped at 1.0) so a lucky-fast reference cannot manufacture
-//! failures, and the calibrating rows themselves are never flagged.
+//! `ci.sh` uses the band twice: the default [`DEFAULT_NOISE_PCT`] for the
+//! committed record against a fresh run, and 5% for a profiled run
+//! against an unprofiled one (the baseline is never profiled, so that
+//! ratio measures the profiler's overhead alone).
 
 use crate::cpubench::{validate_report_json, CpuBenchReport};
 use std::fmt::Write as _;
 
-/// Default allowed TEPS drop, in percent. Wide on purpose: the committed
-/// baseline may come from a different machine.
+/// Default allowed change of the speedup, in percent either way.
 pub const DEFAULT_NOISE_PCT: f64 = 30.0;
 
-/// One matched `(engine, threads)` comparison.
+/// One thread count present in both reports.
 #[derive(Clone, Debug)]
 pub struct DiffRow {
-    /// Engine name (`"baseline"` or `"pooled"`).
-    pub engine: String,
     /// Worker threads.
     pub threads: u64,
-    /// TEPS in the base (older / committed) report.
-    pub base_teps: f64,
-    /// TEPS in the new (candidate) report.
-    pub new_teps: f64,
-    /// `new_teps / base_teps`.
+    /// Speedup in the base (older / committed) report.
+    pub base_speedup: f64,
+    /// Speedup in the new (candidate) report.
+    pub new_speedup: f64,
+    /// `new_speedup / base_speedup`.
     pub ratio: f64,
-    /// The new rate fell below the noise band.
-    pub regressed: bool,
-    /// This row supplied the host-drift calibration and is exempt from
-    /// regression flagging.
-    pub calibrator: bool,
+    /// The ratio left the noise band, in either direction.
+    pub outside: bool,
 }
 
 /// The full comparison of two validated reports.
 #[derive(Clone, Debug)]
 pub struct PerfDiff {
-    /// Matched runs, in base-report order.
+    /// Matched rows, in base-report order.
     pub rows: Vec<DiffRow>,
-    /// `engine@threads` keys present in base but absent in
-    /// new — a disappeared run can hide a regression, so `--check` fails
-    /// on these.
-    pub missing: Vec<String>,
-    /// Keys present only in the new report (informational).
-    pub added: Vec<String>,
+    /// Thread counts present in base but absent in new: a disappeared row
+    /// can hide a regression, so `--check` fails on these.
+    pub missing: Vec<u64>,
+    /// Thread counts present only in the new report (informational).
+    pub added: Vec<u64>,
     /// The noise band the rows were judged against, in percent.
     pub noise_pct: f64,
-    /// Host-drift factor applied to the floor: the mean ratio of the
-    /// calibrating rows, clamped to `(0, 1]`. `1.0` when uncalibrated.
-    pub calibration: f64,
-    /// Engine named by `--calibrate`, if it matched any rows.
-    pub calibrated_against: Option<String>,
 }
 
 impl PerfDiff {
-    /// Rows that fell below the noise band.
-    pub fn regressions(&self) -> Vec<&DiffRow> {
-        self.rows.iter().filter(|r| r.regressed).collect()
+    /// Rows whose speedup moved outside the noise band.
+    pub fn failures(&self) -> Vec<&DiffRow> {
+        self.rows.iter().filter(|r| r.outside).collect()
     }
 
-    /// The CI verdict: no regressed rows and no disappeared runs.
+    /// The CI verdict: every row inside the band and none disappeared.
     pub fn passes(&self) -> bool {
-        self.regressions().is_empty() && self.missing.is_empty()
+        self.failures().is_empty() && self.missing.is_empty()
     }
 }
 
 /// Compares two already-validated reports. `noise_pct` is the allowed
-/// TEPS drop in percent (clamped to `[0, 100)`). `calibrate` optionally
-/// names an engine whose ratio measures host drift (see module docs);
-/// its rows are exempt from flagging and their mean ratio, clamped at
-/// 1.0, scales the floor for every other row.
-pub fn diff_reports(
-    base: &CpuBenchReport,
-    new: &CpuBenchReport,
-    noise_pct: f64,
-    calibrate: Option<&str>,
-) -> PerfDiff {
-    let noise_pct = noise_pct.clamp(0.0, 99.999);
-    let floor = 1.0 - noise_pct / 100.0;
-    let key = |engine: &str, threads: u64| format!("{engine}@{threads}t");
-
+/// change of each row's speedup, in percent either way.
+pub fn diff_reports(base: &CpuBenchReport, new: &CpuBenchReport, noise_pct: f64) -> PerfDiff {
+    let band = noise_pct / 100.0;
     let mut rows = Vec::new();
     let mut missing = Vec::new();
-    for b in &base.runs {
-        match new.runs.iter().find(|n| n.engine == b.engine && n.threads == b.threads) {
+    for b in &base.rows {
+        match new.rows.iter().find(|n| n.threads == b.threads) {
             Some(n) => {
-                let ratio = n.teps / b.teps.max(1e-12);
+                let ratio = n.speedup / b.speedup;
                 rows.push(DiffRow {
-                    engine: b.engine.clone(),
                     threads: b.threads,
-                    base_teps: b.teps,
-                    new_teps: n.teps,
+                    base_speedup: b.speedup,
+                    new_speedup: n.speedup,
                     ratio,
-                    regressed: false,
-                    calibrator: calibrate == Some(b.engine.as_str()),
+                    outside: (ratio - 1.0).abs() > band,
                 });
             }
-            None => missing.push(key(&b.engine, b.threads)),
+            None => missing.push(b.threads),
         }
     }
-    let calibrators: Vec<f64> =
-        rows.iter().filter(|r| r.calibrator).map(|r| r.ratio).collect();
-    let calibration = if calibrators.is_empty() {
-        1.0
-    } else {
-        (calibrators.iter().sum::<f64>() / calibrators.len() as f64).clamp(1e-6, 1.0)
-    };
-    let calibrated_against =
-        (!calibrators.is_empty()).then(|| calibrate.unwrap_or_default().to_string());
-    for r in &mut rows {
-        r.regressed = !r.calibrator && r.ratio < calibration * floor;
-    }
     let added = new
-        .runs
+        .rows
         .iter()
-        .filter(|n| !base.runs.iter().any(|b| b.engine == n.engine && b.threads == n.threads))
-        .map(|n| key(&n.engine, n.threads))
+        .filter(|n| !base.rows.iter().any(|b| b.threads == n.threads))
+        .map(|n| n.threads)
         .collect();
-
-    PerfDiff {
-        rows,
-        missing,
-        added,
-        noise_pct,
-        calibration,
-        calibrated_against,
-    }
+    PerfDiff { rows, missing, added, noise_pct }
 }
 
 /// Parses, validates, and compares two serialized reports. The labels
@@ -151,11 +104,10 @@ pub fn diff_report_texts(
     new_text: &str,
     new_label: &str,
     noise_pct: f64,
-    calibrate: Option<&str>,
 ) -> Result<PerfDiff, String> {
     let base = validate_report_json(base_text).map_err(|e| format!("{base_label}: {e}"))?;
     let new = validate_report_json(new_text).map_err(|e| format!("{new_label}: {e}"))?;
-    Ok(diff_reports(&base, &new, noise_pct, calibrate))
+    Ok(diff_reports(&base, &new, noise_pct))
 }
 
 /// Renders the comparison as the table `bfs perf-diff` prints.
@@ -163,53 +115,41 @@ pub fn render_diff(diff: &PerfDiff, base_label: &str, new_label: &str) -> String
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "perf-diff: base={base_label} new={new_label} noise={:.1}%",
+        "perf-diff: base={base_label} new={new_label} noise=±{:.1}% on the speedup over baseline",
         diff.noise_pct
     );
     let _ = writeln!(
         out,
-        "  {:<14} {:>7} {:>14} {:>14} {:>7}  status",
-        "engine", "threads", "base TEPS", "new TEPS", "ratio"
+        "  {:>7} {:>13} {:>13} {:>7}  status",
+        "threads", "base speedup", "new speedup", "ratio"
     );
     for r in &diff.rows {
         let _ = writeln!(
             out,
-            "  {:<14} {:>7} {:>14.0} {:>14.0} {:>6.2}x  {}",
-            r.engine,
+            "  {:>7} {:>12.2}x {:>12.2}x {:>6.3}x  {}",
             r.threads,
-            r.base_teps,
-            r.new_teps,
+            r.base_speedup,
+            r.new_speedup,
             r.ratio,
-            if r.calibrator {
-                "calibrator"
-            } else if r.regressed {
-                "REGRESSED"
-            } else {
-                "ok"
+            match (r.outside, r.ratio < 1.0) {
+                (false, _) => "ok",
+                (true, true) => "SLOWER",
+                (true, false) => "FASTER",
             }
         );
     }
-    if let Some(engine) = &diff.calibrated_against {
-        let _ = writeln!(
-            out,
-            "  calibration: {:.3}x host drift from `{engine}` rows (floor scaled to {:.3})",
-            diff.calibration,
-            diff.calibration * (1.0 - diff.noise_pct / 100.0),
-        );
+    for t in &diff.missing {
+        let _ = writeln!(out, "  threads={t}: in base but MISSING from new");
     }
-    for m in &diff.missing {
-        let _ = writeln!(out, "  {m}: in base but MISSING from new");
+    for t in &diff.added {
+        let _ = writeln!(out, "  threads={t}: new row (no base to compare)");
     }
-    for a in &diff.added {
-        let _ = writeln!(out, "  {a}: new run (no baseline to compare)");
-    }
-    let regressions = diff.regressions().len();
     let _ = writeln!(
         out,
-        "  verdict: {} ({} compared, {} regressed, {} missing)",
+        "  verdict: {} ({} compared, {} outside the band, {} missing)",
         if diff.passes() { "PASS" } else { "FAIL" },
         diff.rows.len(),
-        regressions,
+        diff.failures().len(),
         diff.missing.len(),
     );
     out
@@ -218,129 +158,120 @@ pub fn render_diff(diff: &PerfDiff, base_label: &str, new_label: &str) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpubench::{report_to_json, run_cpu_bench, CpuBenchConfig};
+    use crate::cpubench::{report_to_json, CpuBenchRow, SCHEMA_VERSION};
 
-    fn report() -> CpuBenchReport {
-        run_cpu_bench(&CpuBenchConfig {
-            scale: 8,
+    /// A report whose rows run at `(threads, baseline TEPS, engine TEPS)`.
+    fn report(rows: &[(u64, f64, f64)]) -> CpuBenchReport {
+        let edges = 168_870u64;
+        let rows = rows
+            .iter()
+            .map(|&(threads, baseline_teps, engine_teps)| CpuBenchRow {
+                threads,
+                traversed_edges: edges,
+                baseline_seconds: edges as f64 / baseline_teps,
+                baseline_teps,
+                engine_seconds: edges as f64 / engine_teps,
+                engine_teps,
+                speedup: engine_teps / baseline_teps,
+            })
+            .collect();
+        CpuBenchReport {
+            schema_version: SCHEMA_VERSION,
+            graph: "rmat".to_string(),
+            scale: 9,
             edge_factor: 8,
-            seed: 7,
-            sources: 16,
-            group_size: 16,
-            threads: vec![1, 2],
-            check: false,
-            ..CpuBenchConfig::default()
-        })
+            seed: 42,
+            num_vertices: 512,
+            num_edges: 5631,
+            sources: 32,
+            group_size: 64,
+            width_bits: 64,
+            rows,
+        }
+    }
+
+    /// `base` with every baseline TEPS scaled by `baseline` and every
+    /// engine TEPS by `engine`.
+    fn scaled(base: &CpuBenchReport, baseline: f64, engine: f64) -> CpuBenchReport {
+        let rows: Vec<(u64, f64, f64)> = base
+            .rows
+            .iter()
+            .map(|r| (r.threads, r.baseline_teps * baseline, r.engine_teps * engine))
+            .collect();
+        report(&rows)
+    }
+
+    fn base() -> CpuBenchReport {
+        report(&[(1, 2.7e8, 7.0e8), (2, 2.7e8, 1.15e9)])
     }
 
     #[test]
     fn identical_reports_pass_at_zero_noise() {
-        let r = report();
-        let diff = diff_reports(&r, &r, 0.0, None);
-        assert_eq!(diff.rows.len(), r.runs.len());
+        let r = base();
+        let diff = diff_reports(&r, &r, 0.0);
+        assert_eq!(diff.rows.len(), 2);
         assert!(diff.passes());
         assert!(diff.missing.is_empty() && diff.added.is_empty());
         for row in &diff.rows {
             assert!((row.ratio - 1.0).abs() < 1e-12);
         }
-        let text = render_diff(&diff, "a.json", "b.json");
-        assert!(text.contains("PASS"));
+        assert!(render_diff(&diff, "a.json", "b.json").contains("PASS"));
     }
 
     #[test]
-    fn teps_drop_beyond_noise_regresses() {
-        let base = report();
-        let mut slow = base.clone();
-        for run in &mut slow.runs {
-            run.teps *= 0.5;
-        }
-        // A 50% drop is outside a 30% band but inside a 60% band.
-        let diff = diff_reports(&base, &slow, DEFAULT_NOISE_PCT, None);
+    fn uniform_host_drift_cancels_in_the_speedup() {
+        // The whole host ran 40% slower: both paths drop alike, so the
+        // speedup, and the verdict at a tight band, do not move.
+        let diff = diff_reports(&base(), &scaled(&base(), 0.6, 0.6), 5.0);
+        assert!(diff.passes(), "{}", render_diff(&diff, "a", "b"));
+    }
+
+    #[test]
+    fn engine_only_drop_fails_the_tight_band() {
+        // A 15% engine-only slowdown (profiler overhead, say) under the
+        // same host drift still shows.
+        let diff = diff_reports(&base(), &scaled(&base(), 0.8, 0.8 * 0.85), 5.0);
         assert!(!diff.passes());
-        assert_eq!(diff.regressions().len(), base.runs.len());
-        assert!(render_diff(&diff, "a", "b").contains("REGRESSED"));
-        assert!(diff_reports(&base, &slow, 60.0, None).passes());
-        // Improvements never regress.
-        let mut fast = base.clone();
-        for run in &mut fast.runs {
-            run.teps *= 2.0;
-        }
-        assert!(diff_reports(&base, &fast, 0.0, None).passes());
+        assert_eq!(diff.failures().len(), 2);
+        assert!(render_diff(&diff, "a", "b").contains("SLOWER"));
+        assert!(diff_reports(&base(), &scaled(&base(), 1.0, 0.85), 30.0).passes());
     }
 
     #[test]
-    fn disappeared_runs_fail_the_check() {
-        let base = report();
-        let mut pruned = base.clone();
-        pruned.runs.retain(|r| r.threads != 2);
-        pruned.speedups.retain(|s| s.threads != 2);
-        let diff = diff_reports(&base, &pruned, 30.0, None);
+    fn a_stale_record_fails_in_the_other_direction() {
+        // The engine got 40% faster than the committed speedup says: the
+        // record no longer describes the code, so the check fails.
+        let diff = diff_reports(&base(), &scaled(&base(), 1.0, 1.4), DEFAULT_NOISE_PCT);
         assert!(!diff.passes());
-        assert_eq!(diff.missing, vec!["baseline@2t".to_string(), "pooled@2t".to_string()]);
-        assert!(diff.regressions().is_empty());
-        assert!(render_diff(&diff, "a", "b").contains("pooled@2t: in base but MISSING from new"));
-        // The reverse direction is additive and passes.
-        let diff = diff_reports(&pruned, &base, 30.0, None);
-        assert!(diff.passes());
-        assert_eq!(diff.added.len(), 2);
+        assert!(diff.failures().iter().all(|r| r.ratio > 1.0));
+        assert!(render_diff(&diff, "a", "b").contains("FASTER"));
+        assert!(diff_reports(&base(), &scaled(&base(), 1.0, 1.2), DEFAULT_NOISE_PCT).passes());
     }
 
     #[test]
-    fn calibration_absorbs_uniform_host_drift_but_not_extra_overhead() {
-        let base = report();
-        // The whole host slowed 20%: every run, including the unprofiled
-        // baseline, drops uniformly. A raw 5% band would flag everything.
-        let mut slow = base.clone();
-        for run in &mut slow.runs {
-            run.teps *= 0.8;
-        }
-        assert!(!diff_reports(&base, &slow, 5.0, None).passes());
-        let diff = diff_reports(&base, &slow, 5.0, Some("baseline"));
-        assert!(diff.passes(), "uniform drift should calibrate away");
-        assert!((diff.calibration - 0.8).abs() < 1e-9);
-        assert_eq!(diff.calibrated_against.as_deref(), Some("baseline"));
+    fn a_missing_thread_count_fails_and_is_named() {
+        let pruned = report(&[(1, 2.7e8, 7.0e8)]);
+        let diff = diff_reports(&base(), &pruned, DEFAULT_NOISE_PCT);
+        assert!(!diff.passes());
+        assert_eq!(diff.missing, vec![2]);
+        assert!(diff.failures().is_empty());
         let text = render_diff(&diff, "a", "b");
-        assert!(text.contains("calibration:"));
-        assert!(text.contains("calibrator"));
-
-        // Same drift plus genuine 15% overhead on the engines: the
-        // calibrated 5% band still catches it.
-        let mut overhead = slow.clone();
-        for run in &mut overhead.runs {
-            if run.engine != "baseline" {
-                run.teps *= 0.85;
-            }
-        }
-        let diff = diff_reports(&base, &overhead, 5.0, Some("baseline"));
-        assert!(!diff.passes());
-        assert!(diff.regressions().iter().all(|r| r.engine != "baseline"));
-
-        // Calibration never tightens: a lucky-fast reference clamps to 1.0.
-        let mut fast_ref = base.clone();
-        for run in &mut fast_ref.runs {
-            if run.engine == "baseline" {
-                run.teps *= 1.5;
-            }
-        }
-        let diff = diff_reports(&base, &fast_ref, 5.0, Some("baseline"));
-        assert!((diff.calibration - 1.0).abs() < 1e-9);
+        assert!(text.contains("threads=2: in base but MISSING from new"), "{text}");
+        assert!(text.contains("FAIL"));
+        // The reverse direction is additive and passes.
+        let diff = diff_reports(&pruned, &base(), DEFAULT_NOISE_PCT);
         assert!(diff.passes());
-
-        // Naming an engine absent from the reports is a no-op.
-        let diff = diff_reports(&base, &base, 5.0, Some("no-such-engine"));
-        assert!((diff.calibration - 1.0).abs() < 1e-9);
-        assert!(diff.calibrated_against.is_none());
+        assert_eq!(diff.added, vec![2]);
     }
 
     #[test]
     fn text_entry_point_validates_both_sides() {
-        let good = report_to_json(&report());
-        let diff =
-            diff_report_texts(&good, "base.json", &good, "new.json", 5.0, None).expect("valid pair");
+        let good = report_to_json(&base());
+        let diff = diff_report_texts(&good, "base.json", &good, "new.json", 5.0).expect("valid");
         assert!(diff.passes());
-        let err = diff_report_texts("not json", "base.json", &good, "new.json", 5.0, None).unwrap_err();
+        let err = diff_report_texts("not json", "base.json", &good, "new.json", 5.0).unwrap_err();
         assert!(err.contains("base.json"));
-        let err = diff_report_texts(&good, "base.json", "{}", "new.json", 5.0, None).unwrap_err();
+        let err = diff_report_texts(&good, "base.json", "{}", "new.json", 5.0).unwrap_err();
         assert!(err.contains("new.json"));
     }
 }

@@ -38,7 +38,7 @@
 use ibfs_graph::{Depth, VertexId};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TrySendError};
+use std::sync::mpsc::{RecvTimeoutError, SendError, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -280,7 +280,7 @@ pub struct FairSender<T> {
     chan: Arc<FairChan<T>>,
 }
 
-/// Consumer half of a [`fair_bounded`] queue.
+/// Consumer half of a [`fair_bounded`] queue; there is one per queue.
 pub struct FairReceiver<T> {
     chan: Arc<FairChan<T>>,
 }
@@ -288,8 +288,8 @@ pub struct FairReceiver<T> {
 /// Creates a weighted-fair bounded queue: one FIFO lane of capacity
 /// `per_class_cap` per class, drained by weighted fair queuing over
 /// `weights`. Disconnect semantics, and the error types, are those of
-/// [`std::sync::mpsc`]: receivers drain what is queued after the last
-/// sender drops, senders fail once every receiver is gone.
+/// [`std::sync::mpsc`]: the receiver drains what is queued after the last
+/// sender drops, and senders fail once the receiver is gone.
 ///
 /// # Panics
 /// Panics if `per_class_cap` is zero.
@@ -315,7 +315,7 @@ pub fn fair_bounded<T>(
 
 impl<T> FairSender<T> {
     /// Blocks until `class`'s lane has room, then enqueues. Fails only
-    /// when every receiver is gone.
+    /// when the receiver is gone.
     ///
     /// `on_accept` runs under the queue lock once the value is accepted,
     /// before any receiver can see it; a failed send never runs it. The
@@ -408,24 +408,9 @@ impl<T> FairReceiver<T> {
         v
     }
 
-    /// Blocks until any lane has a value, then pops by weighted fairness.
-    /// Fails only when every lane is empty and every sender is gone.
-    pub fn recv(&self) -> Result<T, RecvError> {
-        let mut st = self.chan.state.lock().unwrap();
-        loop {
-            if let Some(v) = self.pop(&mut st) {
-                drop(st);
-                self.chan.not_full.notify_all();
-                return Ok(v);
-            }
-            if st.senders == 0 {
-                return Err(RecvError);
-            }
-            st = self.chan.not_empty.wait(st).unwrap();
-        }
-    }
-
-    /// [`FairReceiver::recv`] that gives up at `deadline`.
+    /// Blocks until any lane has a value, then pops by weighted fairness;
+    /// gives up at `deadline`. Fails with `Disconnected` only when every
+    /// lane is empty and every sender is gone.
     pub fn recv_deadline(&self, deadline: Instant) -> Result<T, RecvTimeoutError> {
         let mut st = self.chan.state.lock().unwrap();
         loop {
@@ -456,25 +441,9 @@ impl<T> FairReceiver<T> {
 
     /// Total values queued across lanes right now (a sampling observation,
     /// not a synchronization primitive).
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.chan.state.lock().unwrap().len()
-    }
-
-    /// True when every lane is empty right now.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Values queued in `class`'s lane right now.
-    pub fn class_len(&self, class: Class) -> usize {
-        self.chan.state.lock().unwrap().lanes[class.idx()].len()
-    }
-}
-
-impl<T> Clone for FairReceiver<T> {
-    fn clone(&self) -> Self {
-        self.chan.state.lock().unwrap().receivers += 1;
-        FairReceiver { chan: self.chan.clone() }
     }
 }
 
@@ -831,6 +800,12 @@ mod tests {
     use std::sync::atomic::AtomicBool;
     use std::time::Duration;
 
+    /// `recv_deadline` with a bound far above any test's wait, so a lost
+    /// wake-up fails the test instead of hanging it.
+    fn recv<T>(rx: &FairReceiver<T>) -> Result<T, RecvTimeoutError> {
+        rx.recv_deadline(Instant::now() + Duration::from_secs(10))
+    }
+
     #[test]
     fn class_lanes_and_labels_are_stable() {
         assert_eq!(Class::ALL.len(), NUM_CLASSES);
@@ -857,7 +832,7 @@ mod tests {
             tx.send(Class::Interactive, i, || {}).unwrap();
         }
         for i in 0..5 {
-            assert_eq!(rx.recv(), Ok(i));
+            assert_eq!(recv(&rx), Ok(i));
         }
     }
 
@@ -871,7 +846,7 @@ mod tests {
         }
         let mut counts = [0usize; NUM_CLASSES];
         for _ in 0..16 {
-            let (lane, _) = rx.recv().unwrap();
+            let (lane, _) = recv(&rx).unwrap();
             counts[lane] += 1;
         }
         assert_eq!(counts[0] + counts[1], 16);
@@ -890,7 +865,7 @@ mod tests {
         // Serve a long stretch with bulk idle (the lane stays non-empty so
         // the busy period never ends).
         for _ in 0..36 {
-            assert_eq!(rx.recv().unwrap().0, 0);
+            assert_eq!(recv(&rx).unwrap().0, 0);
         }
         // Bulk wakes up into a backlog; both lanes now stay backlogged.
         for i in 0..24 {
@@ -899,7 +874,7 @@ mod tests {
         }
         let mut counts = [0usize; NUM_CLASSES];
         for _ in 0..16 {
-            counts[rx.recv().unwrap().0] += 1;
+            counts[recv(&rx).unwrap().0] += 1;
         }
         // Without the empty→non-empty re-sync, bulk would win the first 12
         // pops straight (served[0]=36, weights 3:1) and this reads [4, 12].
@@ -913,15 +888,15 @@ mod tests {
             tx.send(Class::Interactive, (0usize, i), || {}).unwrap();
         }
         for _ in 0..5 {
-            rx.recv().unwrap();
+            recv(&rx).unwrap();
         }
         // Queue fully drained: the next busy period starts from zero, so a
         // lone bulk item is served immediately, then interactive resumes
         // FIFO with no debt from the previous period.
         tx.send(Class::Bulk, (1usize, 0), || {}).unwrap();
-        assert_eq!(rx.recv().unwrap().0, 1);
+        assert_eq!(recv(&rx).unwrap().0, 1);
         tx.send(Class::Interactive, (0usize, 9), || {}).unwrap();
-        assert_eq!(rx.recv().unwrap(), (0, 9));
+        assert_eq!(recv(&rx).unwrap(), (0, 9));
     }
 
     #[test]
@@ -936,7 +911,7 @@ mod tests {
         // Would overflow u64 cross-multiplication (panic in debug) once
         // served counters pass 1.
         for _ in 0..8 {
-            rx.recv().unwrap();
+            recv(&rx).unwrap();
         }
     }
 
@@ -946,8 +921,8 @@ mod tests {
         tx.send(Class::Bulk, 1u32, || {}).unwrap();
         tx.send(Class::Bulk, 2, || {}).unwrap();
         // No interactive traffic: bulk drains back to back.
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.recv(), Ok(2));
+        assert_eq!(recv(&rx), Ok(1));
+        assert_eq!(recv(&rx), Ok(2));
     }
 
     #[test]
@@ -964,8 +939,8 @@ mod tests {
         let (tx, rx) = fair_bounded(4, [4, 1]);
         tx.send(Class::Interactive, 9u32, || {}).unwrap();
         drop(tx);
-        assert_eq!(rx.recv(), Ok(9));
-        assert_eq!(rx.recv(), Err(RecvError));
+        assert_eq!(recv(&rx), Ok(9));
+        assert_eq!(recv(&rx), Err(RecvTimeoutError::Disconnected));
 
         let (tx, rx) = fair_bounded(4, [4, 1]);
         drop(rx);
@@ -1047,7 +1022,7 @@ mod tests {
         let (tx, rx) = fair_bounded::<usize>(N, [4, 1]);
         let seen = hooked.clone();
         let receiver = std::thread::spawn(move || {
-            (0..N).filter(|_| !seen[rx.recv().unwrap()].load(Ordering::Relaxed)).count()
+            (0..N).filter(|_| !seen[recv(&rx).unwrap()].load(Ordering::Relaxed)).count()
         });
         for i in 0..N {
             let hook = || {

@@ -21,7 +21,7 @@ use ibfs::groupby::GroupByConfig;
 use ibfs_graph::generators::{chung_lu, powerlaw_weights, rmat, uniform_random, RmatParams};
 use ibfs_graph::{Csr, Depth, VertexId};
 use ibfs_serve::coalesce::{plan, CoalescePolicy};
-use ibfs_serve::qos::{fair_bounded, Attach};
+use ibfs_serve::qos::{fair_bounded, Attach, FairReceiver};
 use ibfs_serve::{
     effective_max_batch, Class, DedupTable, Lookup, QuotaGuard, QuotaTable, ResultCache,
     ServeConfig, TenantId,
@@ -29,7 +29,9 @@ use ibfs_serve::{
 use ibfs_util::prop::Prop;
 use ibfs_util::rng::Rng;
 use std::collections::{HashMap, HashSet};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn graphs() -> Vec<Csr> {
     vec![
@@ -148,6 +150,12 @@ fn quota_table_never_exceeds_limits() {
     });
 }
 
+/// `recv_deadline` with a bound far above any case's wait, so a lost value
+/// fails the property instead of hanging it.
+fn recv<T>(rx: &FairReceiver<T>) -> Result<T, RecvTimeoutError> {
+    rx.recv_deadline(Instant::now() + Duration::from_secs(10))
+}
+
 #[test]
 fn fair_queue_split_tracks_weights_and_stays_fifo() {
     Prop::new("serve::fair_split").cases(60).run(|rng| {
@@ -164,7 +172,7 @@ fn fair_queue_split_tracks_weights_and_stays_fifo() {
         let mut served = [0usize; 2];
         let mut last_seq = [None::<usize>; 2];
         for _ in 0..m {
-            let (lane, seq) = rx.recv().unwrap();
+            let (lane, seq) = recv(&rx).unwrap();
             if let Some(prev) = last_seq[lane] {
                 assert!(seq > prev, "lane {lane} reordered {prev} before {seq}");
             }
@@ -198,7 +206,7 @@ fn idle_lane_rejoins_at_its_weighted_share() {
         }
         let warm = rng.gen_range(32..=64usize);
         for _ in 0..warm {
-            assert_eq!(rx.recv().unwrap().0, 0, "bulk lane is empty");
+            assert_eq!(recv(&rx).unwrap().0, 0, "bulk lane is empty");
         }
         // Bulk wakes up; both lanes now stay backlogged for all `m` pops.
         for seq in 0..64 {
@@ -208,7 +216,7 @@ fn idle_lane_rejoins_at_its_weighted_share() {
         let m = rng.gen_range(8..=32usize);
         let mut served = [0usize; 2];
         for _ in 0..m {
-            served[rx.recv().unwrap().0] += 1;
+            served[recv(&rx).unwrap().0] += 1;
         }
         let total_w = (weights[0] + weights[1]) as f64;
         for c in 0..2 {

@@ -12,13 +12,10 @@
 //!   every serialized type in the workspace.
 //! * [`prop`] — a small property-test harness: seeded case generation,
 //!   configurable case count, failing-seed reporting (no shrinking).
-//! * [`bench`](mod@bench) — a timing-loop bench harness exposing the subset of the
-//!   criterion API the `benches/` files use, so `cargo bench` runs offline.
 //!
 //! Everything compiles on stable Rust with `std` only; this crate must
 //! never grow an external dependency.
 
-pub mod bench;
 pub mod json;
 pub mod prop;
 pub mod rng;
