@@ -32,7 +32,7 @@
 //! `serve-bench --metrics-out` writes the end-of-run JSON snapshot,
 //! `--metrics-text` the Prometheus rendering, and `--trace` the merged
 //! request-span + per-level JSONL stream. `--qos` enables the standard
-//! QoS policy (weighted-fair lanes, in-flight dedup, result cache);
+//! QoS policy (weighted-fair lanes, result cache);
 //! `--profile powerlaw` draws heavy-tailed sources; `--bulk-clients` and
 //! `--burst` turn the first clients into a bursting bulk tenant;
 //! `--cache`/`--bulk-quota` size the cache and the bulk tenant's quota;
@@ -544,7 +544,7 @@ fn serve_bench(args: Vec<String>) -> ExitCode {
     }
 
     // Compose the QoS policy from the flags: `--qos` is the standard
-    // dedup + cache policy; `--cache` and `--bulk-quota` refine it (and
+    // lanes + cache policy; `--cache` and `--bulk-quota` refine it (and
     // enable QoS on their own).
     if qos || cache.is_some() || bulk_quota.is_some() {
         let mut policy = if qos { QosPolicy::standard() } else { QosPolicy::default() };
@@ -641,11 +641,9 @@ fn serve_bench(args: Vec<String>) -> ExitCode {
             s.bulk_p99_s * 1e3
         );
         println!(
-            "qos reuse:          cache hits {} ({:.1}% of lookups, {} stale), dedup joined {}",
+            "qos reuse:          cache hits {} ({:.1}% of lookups)",
             s.cache_hits,
-            s.cache_hit_rate * 1e2,
-            r.cache_stale,
-            s.dedup_joined
+            s.cache_hit_rate * 1e2
         );
         println!("quota rejected:     {}", s.quota_rejected);
     }

@@ -31,7 +31,6 @@ const DEFAULT_REQUIRED: &[&str] = &[
     "ibfs_serve_queue_wait_seconds",
     "ibfs_serve_batch_occupancy",
     "ibfs_serve_quota_rejected_total",
-    "ibfs_serve_dedup_joined_total",
     "ibfs_serve_cache_*",
     "ibfs_core_levels_total",
     "ibfs_core_frontier_size",

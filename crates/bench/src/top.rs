@@ -48,10 +48,9 @@ pub fn render_dashboard(prev: Option<&Snapshot>, cur: &Snapshot, tick: u64) -> S
     for name in [
         "ibfs_serve_accepted_total",
         "ibfs_serve_completed_total",
-        "ibfs_serve_timeout_total",
-        "ibfs_serve_overload_total",
+        "ibfs_serve_timeouts_total",
+        "ibfs_serve_overloaded_total",
         "ibfs_serve_quota_rejected_total",
-        "ibfs_serve_dedup_joined_total",
     ] {
         let Some(v) = cur.counter(name) else { continue };
         let short = name.trim_start_matches("ibfs_serve_");
@@ -137,6 +136,25 @@ mod tests {
         // Histogram quantiles and the profiler phase gauge.
         assert!(frame.contains("latency (s)"));
         assert!(frame.contains("top_down_expand"));
+    }
+
+    #[test]
+    fn serve_rows_read_the_families_the_collector_registers() {
+        // A row whose name the serve collector never registers is skipped
+        // as absent, so each row must name a registered family.
+        let r = Arc::new(Registry::new());
+        let _collector =
+            ibfs_serve::Collector::new(ibfs_serve::ServeTelemetry::with_registry(r.clone()));
+        let frame = render_dashboard(None, &r.snapshot(), 0);
+        for row in [
+            "accepted_total",
+            "completed_total",
+            "timeouts_total",
+            "overloaded_total",
+            "quota_rejected_total",
+        ] {
+            assert!(frame.contains(&format!("  {row} ")), "no {row} row in:\n{frame}");
+        }
     }
 
     #[test]

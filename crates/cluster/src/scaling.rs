@@ -2,15 +2,16 @@
 //!
 //! Each simulated device keeps one resident graph upload and runs its
 //! assigned groups back to back, releasing scratch between groups — the same
-//! residency discipline as [`ibfs::service::IbfsService`], and the same
-//! [`DeviceScheduler`] prices each device's timeline.
+//! residency discipline as [`ibfs::service::IbfsService`], and
+//! [`back_to_back_seconds`] prices each device's timeline as it prices
+//! one service request.
 
 use ibfs::engine::{EngineKind, GpuGraph, GroupRun};
 use ibfs::groupby::GroupingStrategy;
-use ibfs::service::{BackToBack, DeviceScheduler};
+use ibfs::service::back_to_back_seconds;
 use ibfs_graph::partition::{bin_loads, lpt_assign};
 use ibfs_graph::{Csr, VertexId};
-use ibfs_gpu_sim::{CostModel, DeviceConfig, Profiler};
+use ibfs_gpu_sim::{DeviceConfig, Profiler};
 use ibfs_util::json_struct;
 
 /// Configuration of a cluster run.
@@ -174,12 +175,10 @@ pub fn run_cluster(
         st.runs.push(run);
     }
 
-    // Each device's timeline is priced by the shared scheduler (groups run
-    // back to back per device, as in the paper's cluster evaluation).
-    let scheduler = BackToBack;
-    let model = CostModel::new(config.device);
+    // Each device runs its groups back to back, as in the paper's cluster
+    // evaluation, priced like `IbfsService` prices one request.
     for (dev, st) in devices.iter_mut().zip(&states) {
-        dev.sim_seconds = scheduler.schedule(&st.runs, &model);
+        dev.sim_seconds = back_to_back_seconds(&st.runs);
     }
 
     let makespan = devices

@@ -60,8 +60,6 @@ pub use driver::{LevelDriver, LevelEngine};
 pub use engine::{Engine, EngineKind, GpuGraph, GroupRun};
 pub use groupby::{GroupByConfig, Grouping, GroupingStrategy};
 pub use runner::{IbfsRun, RunConfig};
-pub use service::{
-    admit_sources, BackToBack, DeviceScheduler, HyperQOverlap, IbfsService, RequestError,
-};
+pub use service::{admit_sources, back_to_back_seconds, IbfsService, RequestError};
 pub use trace::{GroupStamp, JsonlSink, NullSink, RecorderSink, TraceSink, TraversalEvent};
 pub use word::{StatusWord, WordWidth};

@@ -8,7 +8,7 @@
 use crate::direction::Direction;
 use crate::engine::{GroupRun, LevelStats};
 use crate::trace::TraversalEvent;
-use ibfs_graph::{Csr, Depth, DEPTH_UNVISITED};
+use ibfs_graph::{Csr, Depth};
 use ibfs_util::json_struct;
 
 /// Traversed-edges-per-second from raw quantities.
@@ -193,20 +193,6 @@ pub fn bottom_up_balance(rev: &Csr, run: &GroupRun) -> MeanStd {
         .map(|j| bottom_up_inspections(rev, run.instance_depths(j), &bu_levels) as f64)
         .collect();
     mean_std(&counts)
-}
-
-/// Fraction of vertices each instance reached (sanity metric for APSP runs
-/// on graphs with small disconnected fringes).
-pub fn reach_fraction(run: &GroupRun) -> f64 {
-    if run.num_instances == 0 || run.num_vertices == 0 {
-        return 0.0;
-    }
-    let reached = run
-        .depths
-        .iter()
-        .filter(|&&d| d != DEPTH_UNVISITED)
-        .count();
-    reached as f64 / (run.num_instances * run.num_vertices) as f64
 }
 
 #[cfg(test)]

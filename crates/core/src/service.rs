@@ -1,5 +1,5 @@
 //! The traversal service: a resident uploaded graph serving many iBFS
-//! requests, with pluggable device scheduling.
+//! requests.
 //!
 //! [`crate::runner::run_ibfs`] uploads the graph, runs one batch of sources,
 //! and throws the device state away. A BFS *server* (the paper's motivating
@@ -13,10 +13,9 @@
 //!   simulated footprint does not grow with request count.
 //! * **Clamp once** — the §3 device-memory bound on group size is computed
 //!   at construction and applied to the configured grouping strategy.
-//! * **Schedule pluggably** — how a request's groups share the device is a
-//!   [`DeviceScheduler`]: [`BackToBack`] (the paper's evaluation setup, and
-//!   the default) or [`HyperQOverlap`] (concurrent group kernels through
-//!   Hyper-Q). The cluster harness reuses the same schedulers per device.
+//! * **Run back to back** — a request's groups each own the whole device in
+//!   turn ([`back_to_back_seconds`]), the paper's evaluation setup. The
+//!   cluster harness prices each device's timeline the same way.
 //!
 //! Releasing scratch between requests cannot change any counter: every
 //! allocation is 128-byte aligned and the coalescer's 32-byte sectors and
@@ -28,8 +27,7 @@ use crate::groupby::GroupingStrategy;
 use crate::runner::{device_group_bound, IbfsRun, RunConfig};
 use crate::trace::{GroupStamp, NullSink, TraceSink};
 use ibfs_graph::{Csr, VertexId};
-use ibfs_gpu_sim::hyperq::{concurrent_cycles, KernelDemand};
-use ibfs_gpu_sim::{CostModel, Profiler};
+use ibfs_gpu_sim::Profiler;
 
 /// Why a request was rejected at admission, before any device work.
 ///
@@ -73,56 +71,11 @@ impl std::fmt::Display for RequestError {
 
 impl std::error::Error for RequestError {}
 
-/// How one request's groups share the simulated device.
-pub trait DeviceScheduler {
-    /// Scheduler name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Combined simulated seconds for `groups` executed on one device.
-    fn schedule(&self, groups: &[GroupRun], model: &CostModel) -> f64;
-}
-
-/// Groups run back to back, each owning the whole device — the paper's
-/// evaluation setup and the default.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BackToBack;
-
-impl DeviceScheduler for BackToBack {
-    fn name(&self) -> &'static str {
-        "back-to-back"
-    }
-
-    fn schedule(&self, groups: &[GroupRun], _model: &CostModel) -> f64 {
-        // In-order fold: identical f64 rounding to the historical
-        // `sim_seconds += run.sim_seconds` accumulation.
-        groups.iter().fold(0.0, |acc, g| acc + g.sim_seconds)
-    }
-}
-
-/// Group kernels overlap through Hyper-Q: compute hides behind memory
-/// across groups, launches still serialize on the host. BFS being
-/// memory-bound, the win over [`BackToBack`] is modest by design.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HyperQOverlap;
-
-impl DeviceScheduler for HyperQOverlap {
-    fn name(&self) -> &'static str {
-        "hyperq-overlap"
-    }
-
-    fn schedule(&self, groups: &[GroupRun], model: &CostModel) -> f64 {
-        let demands: Vec<KernelDemand> = groups
-            .iter()
-            .map(|g| KernelDemand {
-                compute_cycles: model.compute_cycles(&g.counters),
-                memory_cycles: model.memory_cycles(&g.counters),
-            })
-            .collect();
-        let launches: u64 = groups.iter().map(|g| g.kernel_launches).sum();
-        let cycles = concurrent_cycles(&demands, model.config.hyperq_streams)
-            + launches as f64 * model.launch_overhead_cycles;
-        model.seconds(cycles)
-    }
+/// Simulated seconds of `groups` run back to back on one device, each
+/// owning the whole device — the paper's evaluation setup. The in-order
+/// fold keeps the f64 rounding of a running `sim_seconds += run.sim_seconds`.
+pub fn back_to_back_seconds(groups: &[GroupRun]) -> f64 {
+    groups.iter().fold(0.0, |acc, g| acc + g.sim_seconds)
 }
 
 /// A resident traversal service: uploaded graph + profiler surviving across
@@ -134,7 +87,6 @@ pub struct IbfsService<'g> {
     /// The configured grouping with its group size clamped to the §3 bound.
     grouping: GroupingStrategy,
     engine: Box<dyn Engine>,
-    scheduler: Box<dyn DeviceScheduler>,
     prof: Profiler,
     adj_base: u64,
     radj_base: u64,
@@ -180,19 +132,12 @@ impl<'g> IbfsService<'g> {
             config,
             grouping,
             engine,
-            scheduler: Box::new(BackToBack),
             prof,
             adj_base,
             radj_base,
             offsets_base,
             scratch_mark,
         }
-    }
-
-    /// Replaces the device scheduler (builder style).
-    pub fn with_scheduler(mut self, scheduler: Box<dyn DeviceScheduler>) -> Self {
-        self.scheduler = scheduler;
-        self
     }
 
     /// The run configuration the service was built with.
@@ -203,11 +148,6 @@ impl<'g> IbfsService<'g> {
     /// The grouping in effect (after the §3 clamp).
     pub fn grouping(&self) -> &GroupingStrategy {
         &self.grouping
-    }
-
-    /// The active scheduler's name.
-    pub fn scheduler_name(&self) -> &'static str {
-        self.scheduler.name()
     }
 
     /// Bytes currently allocated on the simulated device.
@@ -277,8 +217,7 @@ impl<'g> IbfsService<'g> {
             traversed += run.traversed_edges;
             groups.push(run);
         }
-        let model = CostModel::new(self.prof.config);
-        let sim_seconds = self.scheduler.schedule(&groups, &model);
+        let sim_seconds = back_to_back_seconds(&groups);
         let counters = self.prof.snapshot().delta(&before);
         Ok(IbfsRun {
             groups,
@@ -385,40 +324,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn hyperq_scheduler_overlaps_but_is_no_free_lunch() {
-        let g = small_graph();
-        let r = g.reverse();
-        let sources: Vec<VertexId> = (0..64).collect();
-        let config = RunConfig {
-            grouping: GroupingStrategy::Random { seed: 3, group_size: 16 },
-            ..Default::default()
-        };
-
-        let mut b2b = IbfsService::new(&g, &r, config.clone());
-        let serial = b2b.run(&sources);
-        let mut hq = IbfsService::new(&g, &r, config).with_scheduler(Box::new(HyperQOverlap));
-        assert_eq!(hq.scheduler_name(), "hyperq-overlap");
-        let overlapped = hq.run(&sources);
-
-        // Same traversals, same traffic — scheduling changes only time.
-        assert_eq!(serial.counters, overlapped.counters);
-        assert!(overlapped.sim_seconds > 0.0);
-        assert!(
-            overlapped.sim_seconds <= serial.sim_seconds,
-            "overlap must not be slower: {} vs {}",
-            overlapped.sim_seconds,
-            serial.sim_seconds
-        );
-        // Memory-bound workload: the overlap win is bounded by the memory
-        // floor, not proportional to group count.
-        let memory_floor: f64 = {
-            let model = CostModel::new(ibfs_gpu_sim::DeviceConfig::k40());
-            model.seconds(model.memory_cycles(&serial.counters))
-        };
-        assert!(overlapped.sim_seconds >= memory_floor);
     }
 
     #[test]

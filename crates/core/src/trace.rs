@@ -19,9 +19,8 @@
 //!   linking per-level events to the span stream.
 //! * [`MetricsSink`] — adapter that records per-level counters and
 //!   histograms into an [`ibfs_obs::Registry`] before forwarding.
-//! * [`TraceLog`] + [`TraceLogSink`] — a shared, thread-safe event log the
-//!   serve stack uses to merge spans and levels from many threads into one
-//!   ordered stream.
+//! * [`TraceLog`] — a shared, thread-safe record log the serve stack uses
+//!   to merge spans and levels from many threads into one ordered stream.
 //!
 //! Sinks observe the traversal; they never influence it. The engines charge
 //! the profiler identically whether a sink is attached or not, which is what
@@ -158,14 +157,10 @@ impl FromJson for TraceRecord {
     }
 }
 
-/// Receiver of trace events.
+/// Receiver of per-level trace events.
 pub trait TraceSink {
     /// Observes one level.
     fn record(&mut self, event: &TraversalEvent);
-
-    /// Observes one request lifecycle stage. Default: ignored, so per-level
-    /// sinks (and all pre-span implementations) need no changes.
-    fn span(&mut self, _event: &SpanEvent) {}
 }
 
 /// Discards every event.
@@ -181,17 +176,11 @@ impl TraceSink for NullSink {
 pub struct RecorderSink {
     /// Recorded level events, in emission order.
     pub events: Vec<TraversalEvent>,
-    /// Recorded span events, in emission order.
-    pub spans: Vec<SpanEvent>,
 }
 
 impl TraceSink for RecorderSink {
     fn record(&mut self, event: &TraversalEvent) {
         self.events.push(*event);
-    }
-
-    fn span(&mut self, event: &SpanEvent) {
-        self.spans.push(event.clone());
     }
 }
 
@@ -219,10 +208,6 @@ impl<W: std::io::Write> TraceSink for JsonlSink<W> {
         // traversal itself.
         let _ = writeln!(self.writer, "{}", event.to_json().to_string());
     }
-
-    fn span(&mut self, event: &SpanEvent) {
-        let _ = writeln!(self.writer, "{}", event.to_json().to_string());
-    }
 }
 
 /// Adapter stamping a group index onto every forwarded event.
@@ -238,10 +223,6 @@ impl TraceSink for GroupStamp<'_> {
         let mut stamped = *event;
         stamped.group = self.group;
         self.inner.record(&stamped);
-    }
-
-    fn span(&mut self, event: &SpanEvent) {
-        self.inner.span(event);
     }
 }
 
@@ -259,10 +240,6 @@ impl TraceSink for BatchStamp<'_> {
         let mut stamped = *event;
         stamped.batch = self.batch;
         self.inner.record(&stamped);
-    }
-
-    fn span(&mut self, event: &SpanEvent) {
-        self.inner.span(event);
     }
 }
 
@@ -313,16 +290,12 @@ impl TraceSink for MetricsSink<'_> {
         }
         self.inner.record(event);
     }
-
-    fn span(&mut self, event: &SpanEvent) {
-        self.inner.span(event);
-    }
 }
 
 /// A shared, thread-safe trace log. The serve stack hands a clone to every
 /// layer that emits (admission spans from the serve thread, level events
 /// from the device workers); the merged stream comes back out in arrival
-/// order via [`TraceLog::drain`] or [`TraceLog::render_jsonl`].
+/// order via [`TraceLog::records`] or [`TraceLog::render_jsonl`].
 #[derive(Clone, Debug, Default)]
 pub struct TraceLog {
     records: Arc<Mutex<Vec<TraceRecord>>>,
@@ -354,16 +327,6 @@ impl TraceLog {
         self.records.lock().unwrap().clone()
     }
 
-    /// Removes and returns everything logged so far.
-    pub fn drain(&self) -> Vec<TraceRecord> {
-        std::mem::take(&mut *self.records.lock().unwrap())
-    }
-
-    /// A [`TraceSink`] that appends to this log.
-    pub fn sink(&self) -> TraceLogSink {
-        TraceLogSink { log: self.clone() }
-    }
-
     /// The whole log as JSONL text (one object per line, `kind`-tagged).
     pub fn render_jsonl(&self) -> String {
         let mut out = String::new();
@@ -372,22 +335,6 @@ impl TraceLog {
             out.push('\n');
         }
         out
-    }
-}
-
-/// [`TraceSink`] writing into a [`TraceLog`].
-#[derive(Clone, Debug)]
-pub struct TraceLogSink {
-    log: TraceLog,
-}
-
-impl TraceSink for TraceLogSink {
-    fn record(&mut self, event: &TraversalEvent) {
-        self.log.push(TraceRecord::Level(*event));
-    }
-
-    fn span(&mut self, event: &SpanEvent) {
-        self.log.push(TraceRecord::Span(event.clone()));
     }
 }
 
@@ -422,12 +369,9 @@ mod tests {
     fn recorder_collects_in_order() {
         let mut sink = RecorderSink::default();
         sink.record(&event(1));
-        sink.span(&span(7));
         sink.record(&event(2));
         assert_eq!(sink.events.len(), 2);
         assert_eq!(sink.events[1].level, 2);
-        assert_eq!(sink.spans.len(), 1);
-        assert_eq!(sink.spans[0].request, 7);
     }
 
     #[test]
@@ -435,11 +379,8 @@ mod tests {
         let mut rec = RecorderSink::default();
         let mut stamp = GroupStamp { group: 5, inner: &mut rec };
         stamp.record(&event(1));
-        stamp.span(&span(3));
         assert_eq!(rec.events[0].group, 5);
         assert_eq!(rec.events[0].level, 1);
-        // Spans pass through unchanged.
-        assert_eq!(rec.spans[0].request, 3);
     }
 
     #[test]
@@ -482,12 +423,12 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_frames_one_line_per_event() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.record(&event(1));
-        sink.span(&span(4));
-        sink.record(&event(2));
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+    fn jsonl_frames_one_line_per_record() {
+        let log = TraceLog::new();
+        log.push(TraceRecord::Level(event(1)));
+        log.push(TraceRecord::Span(span(4)));
+        log.push(TraceRecord::Level(event(2)));
+        let text = log.render_jsonl();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         // Every line is a self-contained, kind-tagged JSON object.
@@ -574,11 +515,11 @@ mod tests {
         let log = TraceLog::new();
         std::thread::scope(|s| {
             for t in 0..4 {
-                let mut sink = log.sink();
+                let log = log.clone();
                 s.spawn(move || {
                     for i in 0..10 {
-                        sink.record(&event(i));
-                        sink.span(&span(t * 100 + i as u64));
+                        log.push(TraceRecord::Level(event(i)));
+                        log.push(TraceRecord::Span(span(t * 100 + i as u64)));
                     }
                 });
             }
@@ -589,8 +530,5 @@ mod tests {
         for line in jsonl.lines() {
             TraceRecord::from_json(&Json::parse(line).unwrap()).unwrap();
         }
-        let drained = log.drain();
-        assert_eq!(drained.len(), 80);
-        assert!(log.is_empty());
     }
 }

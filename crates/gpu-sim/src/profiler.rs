@@ -102,20 +102,6 @@ impl Counters {
             self.global_load_transactions as f64 / self.global_load_requests as f64
         }
     }
-
-    /// `gst_transactions_per_request`.
-    pub fn store_transactions_per_request(&self) -> f64 {
-        if self.global_store_requests == 0 {
-            0.0
-        } else {
-            self.global_store_transactions as f64 / self.global_store_requests as f64
-        }
-    }
-
-    /// All global-memory traffic including atomics, in transactions.
-    pub fn total_memory_transactions(&self) -> u64 {
-        self.global_load_transactions + self.global_store_transactions + self.atomic_transactions
-    }
 }
 
 /// Accounting facade for one simulated device.

@@ -18,8 +18,8 @@
 //! * [`error`] — the [`ServeError`] taxonomy
 //!   (Timeout/Overloaded/QuotaExceeded/Shutdown/Invalid).
 //! * [`qos`] — the multi-tenant front door: priority classes, the
-//!   weighted-fair admission queue, per-tenant quotas, in-flight dedup,
-//!   and the epoch-tagged LRU result cache.
+//!   weighted-fair admission queue, per-tenant quotas and the LRU result
+//!   cache.
 //! * [`coalesce`] — window → batches planning (arrival order or GroupBy).
 //! * [`server`] — admission, batching, the hand-off, workers, lifecycle.
 //! * [`metrics`] — per-batch records and the end-of-run [`ServeReport`].
@@ -36,10 +36,7 @@ pub mod slo;
 pub use coalesce::{plan, BatchPlan, CoalescePolicy};
 pub use error::ServeError;
 pub use metrics::{class_metric, Collector, ServeReport, ServeStats, ServeTelemetry};
-pub use qos::{
-    CacheStats, Class, DedupTable, Lookup, QosPolicy, QuotaGuard, QuotaTable, ResultCache,
-    TenantId, NUM_CLASSES,
-};
+pub use qos::{Class, QosPolicy, QuotaGuard, QuotaTable, ResultCache, TenantId, NUM_CLASSES};
 pub use server::{
     effective_max_batch, serve, serve_with, BfsResponse, ServeConfig, ServeHandle, Ticket,
 };

@@ -116,13 +116,10 @@ pub struct Collector {
     pub(crate) shutdown: DeltaCounter,
     pub(crate) rejected: DeltaCounter,
     pub(crate) invalid: DeltaCounter,
-    // QoS accounting: quota rejections, dedup fan-out joins, result-cache
-    // traffic.
+    // QoS accounting: quota rejections and result-cache traffic.
     pub(crate) quota_rejected: DeltaCounter,
-    pub(crate) dedup_joined: DeltaCounter,
     pub(crate) cache_hits: DeltaCounter,
     pub(crate) cache_misses: DeltaCounter,
-    pub(crate) cache_stale: DeltaCounter,
     pub(crate) cache_entries: Arc<Gauge>,
     // Per-class resolution counters and latency (indexed by `Class::idx`).
     pub(crate) accepted_by_class: [DeltaCounter; NUM_CLASSES],
@@ -173,10 +170,8 @@ impl Collector {
             rejected: DeltaCounter::new(r, "ibfs_serve_rejected_total"),
             invalid: DeltaCounter::new(r, "ibfs_serve_invalid_total"),
             quota_rejected: DeltaCounter::new(r, "ibfs_serve_quota_rejected_total"),
-            dedup_joined: DeltaCounter::new(r, "ibfs_serve_dedup_joined_total"),
             cache_hits: DeltaCounter::new(r, "ibfs_serve_cache_hits_total"),
             cache_misses: DeltaCounter::new(r, "ibfs_serve_cache_misses_total"),
-            cache_stale: DeltaCounter::new(r, "ibfs_serve_cache_stale_total"),
             cache_entries: r.gauge("ibfs_serve_cache_entries"),
             accepted_by_class: class_counters("ibfs_serve_accepted_total"),
             completed_by_class: class_counters("ibfs_serve_completed_total"),
@@ -267,10 +262,8 @@ impl Collector {
             rejected: self.rejected.delta(),
             invalid: self.invalid.delta(),
             quota_rejected: self.quota_rejected.delta(),
-            dedup_joined: self.dedup_joined.delta(),
             cache_hits: self.cache_hits.delta(),
             cache_misses: self.cache_misses.delta(),
-            cache_stale: self.cache_stale.delta(),
             accepted_by_class: self.accepted_by_class.each_ref().map(DeltaCounter::delta),
             completed_by_class: self.completed_by_class.each_ref().map(DeltaCounter::delta),
             timeouts_by_class: self.timeouts_by_class.each_ref().map(DeltaCounter::delta),
@@ -357,15 +350,10 @@ pub struct ServeReport {
     /// Requests rejected at admission by a per-tenant quota (never
     /// accepted).
     pub quota_rejected: u64,
-    /// Requests that joined an identical in-flight request instead of
-    /// queueing their own traversal.
-    pub dedup_joined: u64,
     /// Requests answered from the result cache without traversal.
     pub cache_hits: u64,
-    /// Cache lookups that found nothing usable (includes stale discards).
+    /// Cache lookups that found nothing.
     pub cache_misses: u64,
-    /// Cache lookups that discarded an entry from another graph epoch.
-    pub cache_stale: u64,
     /// Per-class accepted counts (indexed by [`Class::idx`]).
     pub accepted_by_class: [u64; NUM_CLASSES],
     /// Per-class completed counts.
@@ -504,10 +492,8 @@ mod tests {
         let snap = c.report().snapshot;
         for name in [
             "ibfs_serve_quota_rejected_total",
-            "ibfs_serve_dedup_joined_total",
             "ibfs_serve_cache_hits_total",
             "ibfs_serve_cache_misses_total",
-            "ibfs_serve_cache_stale_total",
         ] {
             assert_eq!(snap.counter(name), Some(0), "{name} missing");
         }

@@ -7,8 +7,6 @@
 //!                                      │miss
 //!                                    quota? ─over─▶ QuotaExceeded
 //!                                      │ok
-//!                                    dedup? ─join─▶ park as waiter
-//!                                      │lead
 //!                         [weighted-fair queue] ──▶ batcher ──plan──▶ hand-off
 //!                                                                      │
 //!                                  next idle worker pulls ┌────────────┤
@@ -19,17 +17,12 @@
 //!                                            └────── reply channel ────┘
 //! ```
 //!
-//! The front door runs in admission order: **cache → quota → dedup →
-//! queue**. A cache hit is admitted and resolved in one stroke, consuming
-//! neither quota nor queue space; a quota rejection costs the tenant
-//! nothing downstream; a dedup join parks the request on the in-flight
-//! leader's `(graph epoch, source)` key, to be resolved — each waiter
-//! exactly once, against its own deadline — when the leader's traversal
-//! completes. Only blocking submits may *create* a dedup key (lead):
-//! `try_submit`'s bounce path would otherwise leave an orphaned key
-//! behind. Epoch rules: dedup keys and cache entries are tagged with
-//! [`QosPolicy::graph_epoch`]; a cache entry from another epoch is
-//! discarded at lookup (counted `stale`), never served.
+//! The front door runs in admission order: **cache → quota → queue**. A
+//! cache hit is admitted and resolved in one stroke, consuming neither
+//! quota nor queue space; a quota rejection costs the tenant nothing
+//! downstream; every other admitted request takes the fair queue to the
+//! batcher. Duplicate sources that meet in one window share one traversal
+//! instance: the batcher plans over distinct sources.
 //!
 //! The hand-off is one `std::sync::mpsc::sync_channel(0)`: the batcher's
 //! `send` returns only once a worker has taken the batch, and the workers
@@ -55,8 +48,8 @@ use crate::coalesce::{self, CoalescePolicy};
 use crate::error::ServeError;
 use crate::metrics::{Collector, ServeReport, ServeTelemetry};
 use crate::qos::{
-    fair_bounded, Attach, Class, DedupTable, FairReceiver, FairSender, Lookup, QosPolicy,
-    QuotaGuard, QuotaTable, ResultCache, TenantId,
+    fair_bounded, Class, FairReceiver, FairSender, QosPolicy, QuotaGuard, QuotaTable, ResultCache,
+    TenantId,
 };
 use ibfs::cpu::{CpuOptions, CpuService, CPU_GROUP};
 use ibfs::groupby::GroupByConfig;
@@ -65,7 +58,7 @@ use ibfs::service::admit_sources;
 use ibfs::trace::{BatchStamp, MetricsSink, RecorderSink, TraceRecord};
 use ibfs_obs::span::{SpanEvent, SpanStage, NO_CORRELATION};
 use ibfs_graph::{Csr, Depth, VertexId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -103,8 +96,8 @@ pub struct ServeConfig {
     pub policy: CoalescePolicy,
     /// §5.2 out-degree rule thresholds for the GroupBy plans.
     pub groupby: GroupByConfig,
-    /// Multi-tenant QoS knobs (class weights, quotas, dedup, result
-    /// cache). The default preserves single-tenant behaviour.
+    /// Multi-tenant QoS knobs (class weights, quotas, result cache). The
+    /// default preserves single-tenant behaviour.
     pub qos: QosPolicy,
     /// The options every worker's [`CpuService`] is built with; `None`
     /// means one lane per worker. Its width caps the batch size (see
@@ -170,9 +163,6 @@ pub struct BfsResponse {
     /// True when the depths came from the result cache, skipping
     /// traversal entirely.
     pub from_cache: bool,
-    /// True when the request joined an identical in-flight request and
-    /// was answered by the leader's traversal.
-    pub deduped: bool,
 }
 
 struct Request {
@@ -181,15 +171,6 @@ struct Request {
     source: VertexId,
     tenant: TenantId,
     class: Class,
-    /// True when the request was parked as a dedup waiter (possibly later
-    /// promoted back into the pipeline after its leader died).
-    joined: bool,
-    /// True when the request *created* its `(epoch, source)` dedup key
-    /// (an [`Attach::Leader`] outcome). Death paths may only tear down
-    /// keys their own requests lead: a keyless rider's source can be led
-    /// by a live leader in another batch whose waiters must not be
-    /// resolved on its behalf.
-    leader: bool,
     submitted: Instant,
     deadline: Option<Instant>,
     /// The tenant's in-flight quota slot; released at resolution.
@@ -198,22 +179,15 @@ struct Request {
     reply: SyncSender<Result<BfsResponse, ServeError>>,
 }
 
-/// Per-run QoS state shared by the admission path, batcher and workers.
+/// Per-run QoS state shared by the admission path and the workers.
 struct QosRuntime {
-    epoch: u64,
     quota: Arc<QuotaTable>,
-    dedup: Option<DedupTable<Request>>,
-    cache: Option<Arc<ResultCache>>,
+    cache: Option<ResultCache>,
 }
 
 impl QosRuntime {
     fn new(policy: &QosPolicy) -> Self {
-        QosRuntime {
-            epoch: policy.graph_epoch,
-            quota: policy.build_quota_table(),
-            dedup: policy.dedup.then(DedupTable::new),
-            cache: policy.build_cache(),
-        }
+        QosRuntime { quota: policy.build_quota_table(), cache: policy.build_cache() }
     }
 }
 
@@ -286,7 +260,7 @@ impl ServeHandle<'_> {
     }
 
     /// The whole front door, in admission order: abort check → validation
-    /// → cache → quota → dedup → fair queue.
+    /// → cache → quota → fair queue.
     fn submit_inner(
         &self,
         source: VertexId,
@@ -323,8 +297,6 @@ impl ServeHandle<'_> {
             source,
             tenant,
             class,
-            joined: false,
-            leader: false,
             submitted: now,
             deadline: deadline.map(|d| now + d),
             quota: None,
@@ -335,8 +307,8 @@ impl ServeHandle<'_> {
         // Result cache: a hit is admitted and resolved in one stroke,
         // consuming neither quota nor queue space.
         if let Some(cache) = &self.qos.cache {
-            match cache.get(self.qos.epoch, source) {
-                Lookup::Hit(depths) => {
+            match cache.get(source) {
+                Some(depths) => {
                     self.collector.cache_hits.inc();
                     self.count_accepted(id, source, class);
                     // Deadlines bind the cache path too: a request admitted
@@ -356,22 +328,16 @@ impl ServeHandle<'_> {
                             batch_sources: 0,
                             queue_wait: Duration::ZERO,
                             from_cache: true,
-                            deduped: false,
                         })
                     };
                     resolve(req, outcome, self.collector);
                     return Ok(ticket);
                 }
-                Lookup::Stale => {
-                    self.collector.cache_stale.inc();
-                    self.collector.cache_misses.inc();
-                }
-                Lookup::Miss => self.collector.cache_misses.inc(),
+                None => self.collector.cache_misses.inc(),
             }
         }
 
-        // Per-tenant quota: waiters and leaders alike hold a slot until
-        // they resolve.
+        // Per-tenant quota: the slot is held until the request resolves.
         match self.qos.quota.try_acquire(tenant) {
             Some(guard) => req.quota = Some(guard),
             None => {
@@ -386,43 +352,11 @@ impl ServeHandle<'_> {
             }
         }
 
-        // Admission is logged by the dedup table or the fair queue, under
-        // its lock, just before the request becomes visible to a leader's
-        // completion or to the batcher: `Admitted` always precedes the
-        // request's later spans, and a bounce is never counted accepted.
+        // Admission is logged by the fair queue, under its lock, just
+        // before the request becomes visible to the batcher: `Admitted`
+        // always precedes the request's later spans, and a bounce is never
+        // counted accepted.
         let admit = || self.count_accepted(id, source, class);
-
-        // In-flight dedup. Only the blocking path may *create* a key
-        // (lead): its enqueue cannot bounce on a full lane, so the key is
-        // guaranteed a ride through the pipeline. `try_submit` joins an
-        // existing leader or proceeds keyless.
-        if let Some(dedup) = &self.qos.dedup {
-            req.joined = true;
-            let back = if block {
-                match dedup.attach(self.qos.epoch, source, req, admit) {
-                    Attach::Leader(mut r) => {
-                        r.leader = true;
-                        Some(r)
-                    }
-                    Attach::Joined => None,
-                }
-            } else {
-                // A keyless rider: no leader was in flight and the try
-                // path must not create a key, so `leader` stays false.
-                dedup.join_if_inflight(self.qos.epoch, source, req, admit)
-            };
-            match back {
-                Some(mut r) => {
-                    r.joined = false;
-                    req = r;
-                }
-                None => {
-                    self.collector.dedup_joined.inc();
-                    return Ok(ticket);
-                }
-            }
-        }
-
         let res = if block {
             self.tx.send(class, req, admit).map_err(|e| (ServeError::Shutdown, e.0))
         } else {
@@ -452,18 +386,7 @@ impl ServeHandle<'_> {
                     source as u64,
                     self.collector.now_s(),
                 ));
-                // A bounced request that led a dedup key takes the key
-                // down with it: every waiter parked meanwhile resolves as
-                // shutdown. A keyless bounce owns no key — its source may
-                // be led by a live leader elsewhere, whose waiters are not
-                // ours to resolve.
-                if bounced.leader {
-                    if let Some(dedup) = &self.qos.dedup {
-                        for w in dedup.complete(self.qos.epoch, source) {
-                            resolve(w, Err(ServeError::Shutdown), self.collector);
-                        }
-                    }
-                }
+                // Dropping the bounced request releases its quota slot.
                 drop(bounced);
                 Err(err)
             }
@@ -501,17 +424,6 @@ impl ServeHandle<'_> {
         class: Class,
     ) -> Result<Ticket, ServeError> {
         self.submit_inner(source, tenant, class, self.default_deadline, true)
-    }
-
-    /// [`ServeHandle::submit_tagged`] with an explicit deadline.
-    pub fn submit_tagged_with_deadline(
-        &self,
-        source: VertexId,
-        tenant: TenantId,
-        class: Class,
-        deadline: Option<Duration>,
-    ) -> Result<Ticket, ServeError> {
-        self.submit_inner(source, tenant, class, deadline, true)
     }
 
     /// [`ServeHandle::try_submit`] under an explicit tenant and class.
@@ -578,9 +490,9 @@ pub fn serve_with<R>(
         }
         drop(batch_rx);
         {
-            let (collector, abort, config, qos) = (&collector, &abort, &config, &qos);
+            let (collector, abort, config) = (&collector, &abort, &config);
             s.spawn(move || {
-                batcher_loop(req_rx, batch_tx, graph, config, max_batch, collector, abort, qos)
+                batcher_loop(req_rx, batch_tx, graph, config, max_batch, collector, abort)
             });
         }
         let handle = ServeHandle {
@@ -653,41 +565,15 @@ fn resolve(mut req: Request, outcome: Result<BfsResponse, ServeError>, collector
 
 /// Splits `window` into requests still worth running and resolves the
 /// rest: aborted requests with `Shutdown`, expired ones with `Timeout`.
-///
-/// A dying request may be a dedup *leader* with waiters parked on its
-/// `(epoch, source)` key; those waiters are reclaimed and re-examined by
-/// the same rules — each against its *own* deadline — with survivors
-/// promoted into the live set (they ride keyless from here on) instead of
-/// being orphaned in the table. A dying non-leader tears nothing down:
-/// its source's key, if any, belongs to a live leader elsewhere.
-fn prune(
-    window: Vec<Request>,
-    qos: &QosRuntime,
-    abort: &AtomicBool,
-    collector: &Collector,
-) -> Vec<Request> {
-    let mut pending: VecDeque<Request> = window.into();
-    let mut live = Vec::with_capacity(pending.len());
-    while let Some(req) = pending.pop_front() {
-        let aborting = abort.load(Ordering::Acquire);
-        let now = Instant::now();
-        let err = if aborting {
-            Some(ServeError::Shutdown)
-        } else if req.deadline.is_some_and(|d| now >= d) {
-            Some(ServeError::Timeout)
+fn prune(window: Vec<Request>, abort: &AtomicBool, collector: &Collector) -> Vec<Request> {
+    let mut live = Vec::with_capacity(window.len());
+    for req in window {
+        if abort.load(Ordering::Acquire) {
+            resolve(req, Err(ServeError::Shutdown), collector);
+        } else if req.deadline.is_some_and(|d| Instant::now() >= d) {
+            resolve(req, Err(ServeError::Timeout), collector);
         } else {
-            None
-        };
-        match err {
-            Some(err) => {
-                if req.leader {
-                    if let Some(dedup) = &qos.dedup {
-                        pending.extend(dedup.complete(qos.epoch, req.source));
-                    }
-                }
-                resolve(req, Err(err), collector);
-            }
-            None => live.push(req),
+            live.push(req);
         }
     }
     live
@@ -707,7 +593,6 @@ fn pull_batches<T>(rx: &Mutex<Receiver<T>>, mut run: impl FnMut(T)) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn batcher_loop(
     req_rx: FairReceiver<Request>,
     batch_tx: SyncSender<Batch>,
@@ -716,7 +601,6 @@ fn batcher_loop(
     max_batch: usize,
     collector: &Collector,
     abort: &AtomicBool,
-    qos: &QosRuntime,
 ) {
     // Batch sequence numbers are 1-based: 0 on a traversal event means "ran
     // outside the serve stack", so no real batch may claim it.
@@ -750,7 +634,7 @@ fn batcher_loop(
             }
         }
         collector.queue_depth.set(req_rx.len() as f64);
-        dispatch_wave(window, graph, config, max_batch, &mut seq, &batch_tx, collector, abort, qos);
+        dispatch_wave(window, graph, config, max_batch, &mut seq, &batch_tx, collector, abort);
         if disconnected {
             break;
         }
@@ -769,9 +653,8 @@ fn dispatch_wave(
     batch_tx: &SyncSender<Batch>,
     collector: &Collector,
     abort: &AtomicBool,
-    qos: &QosRuntime,
 ) {
-    let live = prune(window, qos, abort, collector);
+    let live = prune(window, abort, collector);
     if live.is_empty() {
         return;
     }
@@ -825,19 +708,9 @@ fn dispatch_wave(
         // Blocks until a worker is idle and takes the batch.
         if let Err(send_err) = batch_tx.send(batch) {
             // Every worker is gone (only possible after each one panicked):
-            // abandon the batch, the dedup keys *its requests lead*, and
-            // every waiter parked on those keys. Keys this batch merely
-            // rides keylessly belong to a live leader in another batch,
-            // which will answer their waiters itself.
+            // abandon the batch.
             collector.inflight_batches.add(-1.0);
             for req in send_err.0.requests {
-                if req.leader {
-                    if let Some(dedup) = &qos.dedup {
-                        for w in dedup.complete(qos.epoch, req.source) {
-                            resolve(w, Err(ServeError::Shutdown), collector);
-                        }
-                    }
-                }
                 resolve(req, Err(ServeError::Shutdown), collector);
             }
         }
@@ -845,7 +718,7 @@ fn dispatch_wave(
 }
 
 /// Runs one batch as one group on the worker's service and answers its
-/// requests, plus every dedup waiter parked on its sources.
+/// requests.
 fn run_batch(
     batch: Batch,
     svc: &mut CpuService<'_>,
@@ -855,7 +728,7 @@ fn run_batch(
     abort: &AtomicBool,
     qos: &QosRuntime,
 ) {
-    let live = prune(batch.requests, qos, abort, collector);
+    let live = prune(batch.requests, abort, collector);
     if live.is_empty() {
         collector.inflight_batches.add(-1.0);
         return;
@@ -884,19 +757,10 @@ fn run_batch(
             // not Invalid — the conservation identity (accepted = completed
             // + timeouts + shutdown) has no slot for invalid-after-admission,
             // and a surprise accounting failure would mask the real cause.
-            // Leaders take their dedup keys (and parked waiters) down with
-            // them.
             Err(e) => {
                 debug_assert!(false, "admitted source failed traversal admission: {e:?}");
                 collector.inflight_batches.add(-1.0);
                 for req in live {
-                    if req.leader {
-                        if let Some(dedup) = &qos.dedup {
-                            for w in dedup.complete(qos.epoch, req.source) {
-                                resolve(w, Err(ServeError::Shutdown), collector);
-                            }
-                        }
-                    }
                     resolve(req, Err(ServeError::Shutdown), collector);
                 }
                 return;
@@ -916,32 +780,22 @@ fn run_batch(
     for (j, &s) in sources.iter().enumerate() {
         let depths = Arc::new(run.instance_depths(j).to_vec());
         if let Some(cache) = &qos.cache {
-            cache.insert(qos.epoch, s, depths.clone());
+            cache.insert(s, depths.clone());
         }
         depth_arcs.insert(s, depths);
     }
     if let Some(cache) = &qos.cache {
         collector.cache_entries.set(cache.len() as f64);
     }
-    // Reclaim every waiter parked on this batch's sources: the traversal
-    // that just ran is their answer (same epoch ⇒ identical depths).
-    let mut waiters = Vec::new();
-    if let Some(dedup) = &qos.dedup {
-        for &s in &sources {
-            waiters.extend(dedup.complete(qos.epoch, s));
-        }
-    }
-    let carried = live.len() + waiters.len();
     let mean_wait = live
         .iter()
-        .chain(waiters.iter())
         .map(|r| started.saturating_duration_since(r.submitted).as_secs_f64())
         .sum::<f64>()
-        / carried as f64;
+        / live.len() as f64;
     collector.push_batch(BatchMetrics {
         batch: batch.seq,
         device: device as u64,
-        requests: carried as u64,
+        requests: live.len() as u64,
         occupancy: batch_occupancy(sources.len(), max_batch),
         queue_wait_s: mean_wait,
         sharing_degree: event_sharing_degree(&sink.events),
@@ -950,7 +804,7 @@ fn run_batch(
         teps: run.teps(),
     });
     let batch_sources = sources.len();
-    let respond = |req: Request| {
+    for req in live {
         let response = BfsResponse {
             request: req.id,
             source: req.source,
@@ -962,22 +816,8 @@ fn run_batch(
             batch_sources,
             queue_wait: started.saturating_duration_since(req.submitted),
             from_cache: false,
-            deduped: req.joined,
         };
         resolve(req, Ok(response), collector);
-    };
-    for req in live {
-        respond(req);
-    }
-    // Waiters carry their own deadlines: one that expired while its
-    // leader traversed resolves as a timeout, not a late success.
-    let now = Instant::now();
-    for req in waiters {
-        if req.deadline.is_some_and(|d| now >= d) {
-            resolve(req, Err(ServeError::Timeout), collector);
-        } else {
-            respond(req);
-        }
     }
 }
 
@@ -1154,37 +994,6 @@ mod tests {
         assert_eq!(report.timeouts, 1);
         assert_eq!(report.completed, 1);
         assert!(report.is_conserved());
-    }
-
-    #[test]
-    fn dedup_joins_identical_inflight_request() {
-        let g = graph();
-        let r = g.reverse();
-        // A long window keeps the leader in flight while the joiner
-        // arrives; the join itself is decided at admission (the key exists
-        // from the leader's submit), so this is deterministic.
-        let config = ServeConfig {
-            batch_window: Duration::from_millis(100),
-            qos: QosPolicy::default().with_dedup(),
-            ..Default::default()
-        };
-        let ((leader, joiner), report) = serve(&g, &r, config, |h| {
-            let ta = h.submit(7).unwrap();
-            let tb = h.submit(7).unwrap();
-            (ta.wait().unwrap(), tb.wait().unwrap())
-        });
-        assert!(!leader.deduped);
-        assert!(joiner.deduped, "second identical request must join the leader");
-        assert_eq!(leader.depths, joiner.depths);
-        assert_eq!(leader.depths, reference_bfs(&g, 7));
-        assert_eq!((leader.batch, leader.device), (joiner.batch, joiner.device));
-        assert_eq!(report.dedup_joined, 1);
-        assert_eq!(report.accepted, 2);
-        assert_eq!(report.completed, 2);
-        assert!(report.is_conserved());
-        // The fan-out rode one batch carrying both requests.
-        assert_eq!(report.batches.len(), 1);
-        assert_eq!(report.batches[0].requests, 2);
     }
 
     #[test]

@@ -85,14 +85,38 @@ struct Sample {
     ok: bool,
     /// Successful and at/under the class threshold.
     fast: bool,
+    /// A queue-full bounce (a request the server never accepted).
+    bounce: bool,
 }
 
+/// One class's sliding window plus running counts of its samples, kept in
+/// step on every push and pop so that folding never walks the window.
 #[derive(Debug, Default)]
 struct ClassWindow {
     samples: VecDeque<Sample>,
-    /// Queue-full bounces seen while this window was filling; cleared as
-    /// the window rolls. Any positive count forces the overload flag.
-    bounces: u64,
+    ok: usize,
+    fast: usize,
+    /// Bounces still in the window; any positive count forces the
+    /// overload flag.
+    bounces: usize,
+}
+
+impl ClassWindow {
+    /// Appends `sample`, first evicting the oldest one once the window
+    /// holds `window` samples.
+    fn push(&mut self, sample: Sample, window: usize) {
+        if self.samples.len() >= window.max(1) {
+            if let Some(old) = self.samples.pop_front() {
+                self.ok -= old.ok as usize;
+                self.fast -= old.fast as usize;
+                self.bounces -= old.bounce as usize;
+            }
+        }
+        self.ok += sample.ok as usize;
+        self.fast += sample.fast as usize;
+        self.bounces += sample.bounce as usize;
+        self.samples.push_back(sample);
+    }
 }
 
 /// The live SLO tracker: one sliding window per class feeding the
@@ -145,38 +169,21 @@ impl SloTracker {
     /// (completions and cache hits), `None` for failures (timeouts,
     /// shutdowns, overload bounces of accepted requests).
     pub fn observe(&self, class: Class, latency_s: Option<f64>) {
-        let idx = class.idx();
-        let obj = self.config.objectives[idx];
-        let sample = match latency_s {
-            Some(l) => Sample { ok: true, fast: l <= obj.latency_threshold_s },
-            None => Sample { ok: false, fast: false },
-        };
-        {
-            let mut w = self.windows[idx].lock().unwrap();
-            if w.samples.len() >= self.config.window.max(1) {
-                w.samples.pop_front();
-                // Bounces age out with the window they were seen in.
-                w.bounces = w.bounces.saturating_sub(1);
-            }
-            w.samples.push_back(sample);
-        }
-        self.publish(idx);
+        let obj = self.config.objectives[class.idx()];
+        let fast = latency_s.is_some_and(|l| l <= obj.latency_threshold_s);
+        self.push(class, Sample { ok: latency_s.is_some(), fast, bounce: false });
     }
 
     /// Records a queue-full bounce (a request the server never accepted):
     /// it counts against availability and forces the overload flag while
     /// it remains in the window.
     pub fn observe_bounce(&self, class: Class) {
+        self.push(class, Sample { ok: false, fast: false, bounce: true });
+    }
+
+    fn push(&self, class: Class, sample: Sample) {
         let idx = class.idx();
-        {
-            let mut w = self.windows[idx].lock().unwrap();
-            if w.samples.len() >= self.config.window.max(1) {
-                w.samples.pop_front();
-                w.bounces = w.bounces.saturating_sub(1);
-            }
-            w.samples.push_back(Sample { ok: false, fast: false });
-            w.bounces += 1;
-        }
+        self.windows[idx].lock().unwrap().push(sample, self.config.window);
         self.publish(idx);
     }
 
@@ -193,10 +200,8 @@ impl SloTracker {
         if total == 0 {
             return (1.0, 1.0, 0.0);
         }
-        let ok = w.samples.iter().filter(|s| s.ok).count();
-        let fast = w.samples.iter().filter(|s| s.fast).count();
-        let availability = ok as f64 / total as f64;
-        let attainment = if ok == 0 { 0.0 } else { fast as f64 / ok as f64 };
+        let availability = w.ok as f64 / total as f64;
+        let attainment = if w.ok == 0 { 0.0 } else { w.fast as f64 / w.ok as f64 };
         let avail_burn = burn_rate(availability, obj.availability);
         let lat_burn = burn_rate(attainment, obj.latency_attainment);
         (availability, attainment, avail_burn.max(lat_burn))
@@ -358,5 +363,31 @@ mod tests {
         assert_eq!(avail, 0.0);
         assert_eq!(att, 0.0);
         assert!(burn > 0.0);
+    }
+
+    #[test]
+    fn a_bounce_holds_the_overload_flag_for_the_length_of_the_window() {
+        // A bounce ages out with its own sample, not whenever any sample
+        // leaves a full window: in steady state the latter would hold the
+        // flag for one observation instead of the length of the window.
+        let r = Registry::shared();
+        let t = SloTracker::new(&r, SloConfig { window: 100, ..SloConfig::standard() });
+        for _ in 0..100 {
+            t.observe(Class::Bulk, Some(0.01));
+        }
+        t.observe_bounce(Class::Bulk);
+        t.observe(Class::Bulk, Some(0.01));
+        // Bulk burns 0.2 (availability 0.99 on a 95% objective), under the
+        // 2.0 threshold: only the bounce, still in the window, raises it.
+        assert!(gauge(&r, "ibfs_slo_burn_rate", Class::Bulk) < 2.0);
+        assert_eq!(r.snapshot().gauge("ibfs_slo_overload"), Some(1.0));
+        // The bounce sits 98 samples from the front: 98 more successes
+        // keep it in the window, the 99th pushes it out.
+        for _ in 0..98 {
+            t.observe(Class::Bulk, Some(0.01));
+        }
+        assert_eq!(r.snapshot().gauge("ibfs_slo_overload"), Some(1.0));
+        t.observe(Class::Bulk, Some(0.01));
+        assert_eq!(r.snapshot().gauge("ibfs_slo_overload"), Some(0.0));
     }
 }

@@ -11,9 +11,8 @@
 //!   never rejects below it;
 //! * the fair queue's per-class split tracks the configured weights and
 //!   stays FIFO within each class;
-//! * dedup attach/join/complete resolves every parked waiter exactly once;
-//! * the LRU result cache never serves a payload from a stale graph epoch
-//!   and never exceeds its capacity.
+//! * a hit in the LRU result cache returns exactly the payload last
+//!   inserted for its source, and the cache never exceeds its capacity.
 //!
 //! Seed/cases are overridable via `IBFS_PROP_SEED` / `IBFS_PROP_CASES`.
 
@@ -21,14 +20,13 @@ use ibfs::groupby::GroupByConfig;
 use ibfs_graph::generators::{chung_lu, powerlaw_weights, rmat, uniform_random, RmatParams};
 use ibfs_graph::{Csr, Depth, VertexId};
 use ibfs_serve::coalesce::{plan, CoalescePolicy};
-use ibfs_serve::qos::{fair_bounded, Attach, FairReceiver};
+use ibfs_serve::qos::{fair_bounded, FairReceiver};
 use ibfs_serve::{
-    effective_max_batch, Class, DedupTable, Lookup, QuotaGuard, QuotaTable, ResultCache,
-    ServeConfig, TenantId,
+    effective_max_batch, Class, QuotaGuard, QuotaTable, ResultCache, ServeConfig, TenantId,
 };
 use ibfs_util::prop::Prop;
 use ibfs_util::rng::Rng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -232,116 +230,30 @@ fn idle_lane_rejoins_at_its_weighted_share() {
 }
 
 #[test]
-fn dedup_attach_resolves_each_waiter_exactly_once() {
-    Prop::new("serve::dedup_exactly_once").cases(60).run(|rng| {
-        let table: DedupTable<u64> = DedupTable::new();
-        // Model: the waiters parked under each live key. Leaders are handed
-        // straight back to the caller, so only waiters flow through
-        // `complete`.
-        let mut parked: HashMap<(u64, VertexId), Vec<u64>> = HashMap::new();
-        let mut resolved: HashSet<u64> = HashSet::new();
-        let mut next_id = 0u64;
-        for _ in 0..300 {
-            let epoch = rng.gen_range(0..2u64);
-            let source = rng.gen_range(0..6u32) as VertexId;
-            let key = (epoch, source);
-            match rng.gen_range(0..4u32) {
-                0 | 1 => {
-                    let id = next_id;
-                    next_id += 1;
-                    match table.attach(epoch, source, id, || {}) {
-                        Attach::Leader(w) => {
-                            assert_eq!(w, id, "leader got someone else's value");
-                            assert!(!parked.contains_key(&key), "led over a live key");
-                            parked.insert(key, Vec::new());
-                        }
-                        Attach::Joined => {
-                            parked.get_mut(&key).expect("joined a dead key").push(id);
-                        }
-                    }
-                }
-                2 => {
-                    let id = next_id;
-                    next_id += 1;
-                    match table.join_if_inflight(epoch, source, id, || {}) {
-                        None => parked.get_mut(&key).expect("joined a dead key").push(id),
-                        Some(w) => {
-                            assert_eq!(w, id, "bounced join lost its value");
-                            assert!(!parked.contains_key(&key), "bounced off a live key");
-                        }
-                    }
-                }
-                _ => {
-                    let waiters = table.complete(epoch, source);
-                    let want = parked.remove(&key).unwrap_or_default();
-                    assert_eq!(waiters, want, "complete returned the wrong waiter set");
-                    for w in waiters {
-                        assert!(resolved.insert(w), "waiter {w} resolved twice");
-                    }
-                }
-            }
-            assert_eq!(table.len(), parked.len());
-        }
-        // Drain every live key: each still-parked waiter resolves exactly
-        // once, and nothing is left behind.
-        for (key, want) in parked {
-            let waiters = table.complete(key.0, key.1);
-            assert_eq!(waiters, want);
-            for w in waiters {
-                assert!(resolved.insert(w), "waiter {w} resolved twice at drain");
-            }
-        }
-        assert!(table.is_empty());
-    });
-}
-
-#[test]
-fn result_cache_never_serves_a_stale_epoch_and_respects_capacity() {
+fn result_cache_serves_the_last_insert_and_respects_capacity() {
     Prop::new("serve::cache_model").cases(60).run(|rng| {
         let capacity = rng.gen_range(1..=6usize);
         let cache = ResultCache::new(capacity);
-        // Payload encodes its own key, so a hit that crossed epochs or
-        // sources is self-evident. `latest` tracks the last insert per
-        // source (entries may be evicted, turning a would-be hit into a
-        // miss — never into a wrong payload).
-        let mut latest: HashMap<VertexId, u64> = HashMap::new();
-        for _ in 0..200 {
-            let epoch = rng.gen_range(0..3u64);
+        // Payload encodes its own source and insert number, so a hit that
+        // crossed sources or served an overwritten insert is self-evident.
+        // `latest` tracks the last payload per source (entries may be
+        // evicted, turning a would-be hit into a miss — never into a
+        // wrong payload).
+        let mut latest: HashMap<VertexId, Vec<Depth>> = HashMap::new();
+        for op in 0..200u32 {
             let source = rng.gen_range(0..12u32) as VertexId;
             if rng.gen_bool(0.5) {
-                cache.insert(epoch, source, Arc::new(vec![epoch as Depth, source as Depth]));
-                latest.insert(source, epoch);
-            } else {
-                match cache.get(epoch, source) {
-                    Lookup::Hit(depths) => {
-                        assert_eq!(
-                            *depths,
-                            vec![epoch as Depth, source as Depth],
-                            "hit served another key's payload"
-                        );
-                        assert_eq!(
-                            latest.get(&source),
-                            Some(&epoch),
-                            "hit on an epoch that was since overwritten"
-                        );
-                    }
-                    Lookup::Stale => {
-                        let last = latest.get(&source);
-                        assert!(
-                            last.is_some() && last != Some(&epoch),
-                            "stale on a fresh (or absent) entry"
-                        );
-                    }
-                    Lookup::Miss => {}
-                }
+                let payload = vec![op as Depth, source as Depth];
+                cache.insert(source, Arc::new(payload.clone()));
+                latest.insert(source, payload);
+            } else if let Some(depths) = cache.get(source) {
+                assert_eq!(
+                    Some(&*depths),
+                    latest.get(&source),
+                    "hit served a payload other than the last insert"
+                );
             }
             assert!(cache.len() <= capacity, "cache grew past its capacity");
         }
-        let stats = cache.stats();
-        // A stale lookup is also a miss (the caller re-traverses), and an
-        // entry either still resides in the cache or left through an
-        // eviction or a stale discard.
-        assert!(stats.misses >= stats.stale, "stale lookups must count as misses");
-        assert!(stats.evictions as usize + cache.len() <= 200 + capacity);
     });
 }

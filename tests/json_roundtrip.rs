@@ -195,7 +195,6 @@ fn loadgen_summary_round_trips() {
         quota_rejected: 3,
         cache_hits: 40,
         cache_hit_rate: 0.16,
-        dedup_joined: 12,
         interactive_p99_s: 0.008,
         bulk_p99_s: 0.02,
     };

@@ -17,10 +17,9 @@ use ibfs::direction::DirectionPolicy;
 use ibfs_graph::generators::{rmat, RmatParams};
 use ibfs_graph::validate::reference_bfs;
 use ibfs_graph::{Csr, Depth, VertexId};
-use ibfs_serve::{serve, CoalescePolicy, QosPolicy, ResultCache, ServeConfig};
+use ibfs_serve::{serve, CoalescePolicy, QosPolicy, ServeConfig};
 use ibfs_util::rng::Rng;
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// 64-bit FNV-1a over depth bytes — same machinery as the golden
@@ -134,10 +133,11 @@ fn serve_matches_one_shot_runner_groupby() {
 }
 
 #[test]
-fn deduped_fanout_is_bit_identical_for_every_waiter() {
-    // Nine concurrent clients ask for the same source while dedup is on:
-    // one leads, eight join the in-flight traversal, and every one of the
-    // nine answers must be bit-identical to the reference.
+fn duplicate_requests_are_bit_identical_for_every_client() {
+    // Nine concurrent clients ask for the same source: duplicates that
+    // meet in one window share its traversal instance, the rest ride
+    // later batches, and every one of the nine answers must be
+    // bit-identical to the reference.
     let g = golden_graph();
     let r = g.reverse();
     let source: VertexId = 7;
@@ -146,10 +146,7 @@ fn deduped_fanout_is_bit_identical_for_every_waiter() {
     let config = ServeConfig {
         workers: 2,
         max_batch: 16,
-        // A long window so all nine submissions land while the leader is
-        // still in flight — the join is then deterministic.
         batch_window: Duration::from_millis(100),
-        qos: QosPolicy::default().with_dedup(),
         ..Default::default()
     };
     let (responses, report) = serve(&g, &r, config, |h| {
@@ -161,18 +158,14 @@ fn deduped_fanout_is_bit_identical_for_every_waiter() {
         })
     });
     assert_eq!(report.completed, clients as u64);
-    assert_eq!(report.dedup_joined, clients as u64 - 1, "exactly one leader");
     assert!(report.is_conserved());
-    let leader = responses.iter().find(|r| !r.deduped).expect("a leader response");
+    assert_eq!(responses.len(), clients);
     for resp in &responses {
         assert_eq!(resp.source, source);
         assert!(!resp.from_cache);
-        assert_eq!(resp.depths, want, "fan-out diverged from one-shot");
-        assert_eq!(fnv1a(&resp.depths), fnv1a(&want), "fan-out hash diverged");
-        // Waiters ride the leader's traversal: same batch, same device.
-        assert_eq!((resp.batch, resp.device), (leader.batch, leader.device));
+        assert_eq!(resp.depths, want, "duplicate diverged from one-shot");
+        assert_eq!(fnv1a(&resp.depths), fnv1a(&want), "duplicate hash diverged");
     }
-    assert_eq!(responses.iter().filter(|r| r.deduped).count(), clients - 1);
 }
 
 #[test]
@@ -215,55 +208,4 @@ fn cache_hits_are_bit_identical_to_fresh_traversals() {
     for resp in &second {
         assert_eq!(resp.batch, 0, "cache hits never ride a batch");
     }
-}
-
-#[test]
-fn shared_cache_across_epochs_discards_stale_entries() {
-    // Two serve runs on *different* graphs share one cache. The second
-    // run's epoch tag must make every first-run entry stale: lookups
-    // discard them (counted, never served) and re-traverse on the new
-    // graph, after which the refilled entries hit.
-    let g0 = golden_graph();
-    let r0 = g0.reverse();
-    let g1 = rmat(9, 16, RmatParams::graph500(), 7);
-    let r1 = g1.reverse();
-    let sources: Vec<VertexId> = (0..10).collect();
-    let cache = Arc::new(ResultCache::new(64));
-    let config = |epoch: u64| ServeConfig {
-        workers: 2,
-        max_batch: 16,
-        batch_window: Duration::from_micros(200),
-        qos: QosPolicy::default().with_shared_cache(cache.clone()).with_epoch(epoch),
-        ..Default::default()
-    };
-
-    let (_, report0) = serve(&g0, &r0, config(0), |h| {
-        sources.iter().map(|&s| h.submit(s).unwrap().wait().unwrap()).collect::<Vec<_>>()
-    });
-    assert_eq!(report0.completed, 10);
-    assert_eq!(report0.cache_stale, 0);
-
-    let want1: HashMap<VertexId, Vec<Depth>> =
-        sources.iter().map(|&s| (s, one_shot_depths(&g1, &r1, s))).collect();
-    let ((fresh, hits), report1) = serve(&g1, &r1, config(1), |h| {
-        let run = |sources: &[VertexId]| {
-            sources
-                .iter()
-                .map(|&s| h.submit(s).unwrap().wait().unwrap())
-                .collect::<Vec<_>>()
-        };
-        (run(&sources), run(&sources))
-    });
-    assert_eq!(report1.completed, 20);
-    assert_eq!(report1.cache_stale, 10, "every epoch-0 entry must be discarded");
-    assert_eq!(report1.cache_hits, 10, "epoch-1 refill must then hit");
-    for resp in fresh.iter().chain(hits.iter()) {
-        assert_eq!(
-            resp.depths, want1[&resp.source],
-            "epoch change served stale depths for source {}",
-            resp.source
-        );
-    }
-    assert!(fresh.iter().all(|r| !r.from_cache));
-    assert!(hits.iter().all(|r| r.from_cache));
 }
